@@ -402,7 +402,11 @@ impl Endpoint {
     pub fn on_restart(&mut self, net: &mut dyn NetHandle<Message>) {
         let node = self.node;
         let rto = self.cfg.rto_initial;
-        let peers: Vec<NodeId> = self.peers.keys().copied().collect();
+        // Peer order decides which jitter draw each resync timer gets and
+        // the order the resyncs hit the wire: sort it, so a restart is as
+        // deterministic as the rest of the run.
+        let mut peers: Vec<NodeId> = self.peers.keys().copied().collect();
+        peers.sort_unstable();
         for peer in peers {
             let state = self.peer(peer);
             state.timer_armed = false;
