@@ -28,6 +28,7 @@ STAGE_LIST=(
   experiment-docs
   fmt
   build
+  perfbench-build
   test
   clippy
   doc
@@ -184,6 +185,12 @@ stage_build() {
   cargo build --release --workspace
 }
 
+# perfbench/ is a package outside the workspace: building it here makes a
+# workspace API change that breaks the benchmark fail the gate.
+stage_perfbench_build() {
+  cargo build --release --offline --manifest-path perfbench/Cargo.toml
+}
+
 stage_test() {
   cargo test -q --workspace
 }
@@ -210,6 +217,7 @@ run_stage engine-boundary stage_engine_boundary
 run_stage experiment-docs stage_experiment_docs
 run_stage fmt stage_fmt
 run_stage build stage_build
+run_stage perfbench-build stage_perfbench_build
 run_stage test stage_test
 run_stage clippy stage_clippy
 run_stage doc stage_doc

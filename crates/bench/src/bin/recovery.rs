@@ -56,7 +56,8 @@ fn main() {
             .run()
             .unwrap();
         assert!(clean.quiescent && crashed.quiescent, "ckpt {k}: no drain");
-        assert!(crashed.recovery.recoveries >= 1, "ckpt {k}: crash missed");
+        let recovery = crashed.recovery.expect("the flat engine reports recovery");
+        assert!(recovery.recoveries >= 1, "ckpt {k}: crash missed");
         let equal = clean
             .views
             .iter()
@@ -66,10 +67,10 @@ fn main() {
             k.to_string(),
             crashed.checkpoints_taken.to_string(),
             crashed.wal_bytes_written.to_string(),
-            crashed.recovery.wal_bytes_replayed.to_string(),
-            crashed.recovery.wal_records_replayed.to_string(),
-            crashed.recovery.sweeps_reseeded.to_string(),
-            crashed.recovery.stale_answers_dropped.to_string(),
+            recovery.wal_bytes_replayed.to_string(),
+            recovery.wal_records_replayed.to_string(),
+            recovery.sweeps_reseeded.to_string(),
+            recovery.stale_answers_dropped.to_string(),
             format!(
                 "{:.1}",
                 crashed.end_time.saturating_sub(clean.end_time) as f64 / 1_000.0

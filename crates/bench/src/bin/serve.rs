@@ -13,8 +13,8 @@
 
 use dw_bench::perf::{serve_read_mix, serve_scenario};
 use dw_bench::TableWriter;
-use dw_core::{audit_reads, ServeExperiment};
-use dw_livenet::run_live_serve;
+use dw_core::{audit_reads, MultiViewExperiment};
+use dw_livenet::run_live_multiview;
 use std::time::Duration;
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
          staleness bound; no-reader run as the interference referee)\n"
     );
 
-    let referee = ServeExperiment::new(scenario.clone()).run().unwrap();
+    let referee = MultiViewExperiment::new(scenario.clone()).run().unwrap();
     assert!(referee.quiescent, "referee did not drain");
 
     let mut t = TableWriter::new([
@@ -49,7 +49,8 @@ fn main() {
     let mixes: [(&str, f64, f64); 2] = [("point-heavy", 0.8, 0.15), ("scan-heavy", 0.15, 0.8)];
     for (mix, point_frac, scan_frac) in mixes {
         let reads = serve_read_mix(args.smoke, views, point_frac, scan_frac);
-        let report = ServeExperiment::new(scenario.clone())
+        let report = MultiViewExperiment::new(scenario.clone())
+            .baseline_subscriptions(true)
             .reads(reads)
             .run()
             .unwrap();
@@ -73,7 +74,11 @@ fn main() {
             format!("{:.1}", report.makespan() as f64 / 1_000.0),
             format!("{:.1}", referee.makespan() as f64 / 1_000.0),
             format!("{:.1}", report.messages_per_update()),
-            report.serve_stats.snapshots_published.to_string(),
+            report
+                .serve
+                .as_ref()
+                .map_or(0, |s| s.serve_stats.snapshots_published)
+                .to_string(),
             (audit.clean() && report.subscriptions_match_installs()).to_string(),
         ]);
     }
@@ -81,14 +86,16 @@ fn main() {
 
     println!("\nlivenet arm (same scenario on OS threads, 4 free-running readers):\n");
     let mut t = TableWriter::new(["readers", "answered", "torn", "subs ok", "wall (ms)"]);
-    let live = run_live_serve(&scenario, 4, 20.0, Duration::from_secs(60)).unwrap();
+    let live = run_live_multiview(&scenario, None, 4, 20.0, Duration::from_secs(60)).unwrap();
+    let wall = live.wall;
+    let live = live.serve.expect("live readers attach a frontend");
     assert_eq!(live.torn_reads, 0, "livenet readers saw a torn epoch");
     t.row([
         "4".to_string(),
         live.reads_answered.to_string(),
         live.torn_reads.to_string(),
         live.subs_match_installs.to_string(),
-        format!("{:.1}", live.wall.as_secs_f64() * 1_000.0),
+        format!("{:.1}", wall.as_secs_f64() * 1_000.0),
     ]);
     t.print();
 

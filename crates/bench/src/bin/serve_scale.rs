@@ -16,7 +16,7 @@
 
 use dw_bench::perf::{scale_read_mix, serve_scenario};
 use dw_bench::TableWriter;
-use dw_core::{audit_lag_recoveries, ServeExperiment};
+use dw_core::{audit_lag_recoveries, MultiViewExperiment};
 use dw_workload::ReadMixConfig;
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
          linear-scan arm vs epoch point-indexes + 64-entry answer cache)\n"
     );
 
-    let referee = ServeExperiment::new(scenario.clone()).run().unwrap();
+    let referee = MultiViewExperiment::new(scenario.clone()).run().unwrap();
     assert!(referee.quiescent, "referee did not drain");
 
     let mut t = TableWriter::new([
@@ -51,51 +51,57 @@ fn main() {
             .iter()
             .filter(|r| matches!(r.kind, dw_workload::ReadKind::Point { .. }))
             .count();
-        let linear = ServeExperiment::new(scenario.clone())
+        let linear = MultiViewExperiment::new(scenario.clone())
+            .baseline_subscriptions(true)
             .reads(reads.clone())
             .point_index(false)
             .run()
             .unwrap();
-        let accel = ServeExperiment::new(scenario.clone())
+        let accel = MultiViewExperiment::new(scenario.clone())
+            .baseline_subscriptions(true)
             .reads(reads)
             .answer_cache(64)
             .run()
             .unwrap();
         assert!(linear.quiescent && accel.quiescent, "{mix}: did not drain");
+        let (linear_stats, accel_stats) = (
+            &linear.serve.as_ref().expect("a serving run").serve_stats,
+            &accel.serve.as_ref().expect("a serving run").serve_stats,
+        );
         assert_eq!(
             accel.makespan(),
             referee.makespan(),
             "{mix}: accelerated readers perturbed maintenance"
         );
         assert_eq!(
-            accel.serve_stats.bags_deep_cloned, accel.serve_stats.snapshots_published,
+            accel_stats.bags_deep_cloned, accel_stats.snapshots_published,
             "{mix}: the read path deep-copied a bag outside the freeze step"
         );
-        let lw = linear.serve_stats.read_work_tuples + linear.serve_stats.index_maintenance_tuples;
-        let aw = accel.serve_stats.read_work_tuples + accel.serve_stats.index_maintenance_tuples;
+        let lw = linear_stats.read_work_tuples + linear_stats.index_maintenance_tuples;
+        let aw = accel_stats.read_work_tuples + accel_stats.index_maintenance_tuples;
         let speedup = lw as f64 / aw.max(1) as f64;
         assert!(
             speedup >= floor,
             "{mix}: speedup {speedup:.2} below the {floor}x floor"
         );
-        let lookups = accel.serve_stats.cache_hits + accel.serve_stats.cache_misses;
+        let lookups = accel_stats.cache_hits + accel_stats.cache_misses;
         t.row([
             mix.to_string(),
             points.to_string(),
             lw.to_string(),
             aw.to_string(),
             format!("{speedup:.1}x"),
-            accel.serve_stats.point_index_hits.to_string(),
+            accel_stats.point_index_hits.to_string(),
             format!(
                 "{:.0}%",
-                100.0 * accel.serve_stats.cache_hits as f64 / lookups.max(1) as f64
+                100.0 * accel_stats.cache_hits as f64 / lookups.max(1) as f64
             ),
-            accel.serve_stats.bags_deep_cloned.to_string(),
-            accel.serve_stats.snapshots_published.to_string(),
+            accel_stats.bags_deep_cloned.to_string(),
+            accel_stats.snapshots_published.to_string(),
             // The full byte-level comparison is gated in perf.rs; here a
             // cheap fingerprint keeps the demo honest.
-            (linear.serve_stats.reads_answered == accel.serve_stats.reads_answered
-                && linear.serve_stats.reads_rejected == accel.serve_stats.reads_rejected)
+            (linear_stats.reads_answered == accel_stats.reads_answered
+                && linear_stats.reads_rejected == accel_stats.reads_rejected)
                 .to_string(),
         ]);
     }
@@ -107,7 +113,8 @@ fn main() {
         ..ReadMixConfig::laggy_subscribers(4, args.pick(10, 24), 0xE21)
     }
     .generate();
-    let lagged = ServeExperiment::new(scenario.clone())
+    let lagged = MultiViewExperiment::new(scenario.clone())
+        .baseline_subscriptions(true)
         .reads(lag_reads)
         .bounded_subscriptions(1)
         .run()

@@ -13,8 +13,8 @@
 
 use dw_bench::perf::sharded_scenario;
 use dw_bench::TableWriter;
-use dw_core::{MultiViewExperiment, ShardedExperiment};
-use dw_livenet::run_live_sharded;
+use dw_core::MultiViewExperiment;
+use dw_livenet::run_live_multiview;
 use std::time::Duration;
 
 fn main() {
@@ -40,15 +40,14 @@ fn main() {
     let mut base_makespan = 0u64;
     for &s in &shard_counts {
         let generated = sharded_scenario(s, updates);
-        let sharded = ShardedExperiment::new(generated.clone()).run().unwrap();
+        let sharded = MultiViewExperiment::new(generated.scenario.clone())
+            .sharded(generated.map)
+            .run()
+            .unwrap();
         let flat = MultiViewExperiment::new(generated.scenario).run().unwrap();
         assert!(sharded.quiescent && flat.quiescent, "S={s}: no drain");
-        let conforms = sharded.install_fingerprint()
-            == flat
-                .views
-                .iter()
-                .map(|v| v.installs.iter().map(|r| r.consumed.clone()).collect())
-                .collect::<Vec<Vec<_>>>()
+        let shard_stats = sharded.shard_stats.as_ref().expect("a sharded run");
+        let conforms = sharded.install_fingerprint() == flat.install_fingerprint()
             && sharded
                 .views
                 .iter()
@@ -65,8 +64,8 @@ fn main() {
             format!("{speedup:.2}"),
             format!("{:.2}", if s == 1 { 1.0 } else { 0.7 * s as f64 }),
             format!("{:.1}", sharded.messages_per_update()),
-            sharded.shard_stats.max_concurrent_lanes.to_string(),
-            sharded.shard_stats.escalations.to_string(),
+            shard_stats.max_concurrent_lanes.to_string(),
+            shard_stats.escalations.to_string(),
             conforms.to_string(),
         ]);
     }
@@ -76,11 +75,20 @@ fn main() {
     let mut t = TableWriter::new(["S", "wall (ms)", "max lanes", "quiescent"]);
     for &s in &shard_counts {
         let generated = sharded_scenario(s, updates);
-        let live = run_live_sharded(&generated, 50.0, Duration::from_secs(60)).unwrap();
+        let live = run_live_multiview(
+            &generated.scenario,
+            Some(generated.map),
+            0,
+            50.0,
+            Duration::from_secs(60),
+        )
+        .unwrap();
         t.row([
             s.to_string(),
             format!("{:.1}", live.wall.as_secs_f64() * 1_000.0),
-            live.shard_stats.max_concurrent_lanes.to_string(),
+            live.shard_stats
+                .map_or(0, |s| s.max_concurrent_lanes)
+                .to_string(),
             live.quiescent.to_string(),
         ]);
     }

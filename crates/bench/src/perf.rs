@@ -62,8 +62,8 @@
 
 use crate::json::{self, Json};
 use dw_core::{
-    audit_lag_recoveries, audit_reads, Experiment, MultiViewExperiment, PolicyKind, RunReport,
-    ServeExperiment, ShardedExperiment,
+    audit_lag_recoveries, audit_reads, Experiment, MultiViewExperiment, MultiViewReport,
+    PolicyKind, RunReport,
 };
 use dw_multiview::SchedulerMode;
 use dw_relational::{AggFn, AggregateSpec, CmpOp, Value};
@@ -1082,6 +1082,7 @@ fn collect_e17(smoke: bool) -> Vec<E17Row> {
                             .eq(b.installs.iter().map(|r| &r.consumed))
                 });
             let stale_max_us = crashed.staleness_percentile(100.0).unwrap_or(0);
+            let recovery = crashed.recovery.expect("the flat engine reports recovery");
             let clean_max = clean.staleness_percentile(100.0).unwrap_or(0);
             E17Row {
                 checkpoint_every: k as u64,
@@ -1089,11 +1090,11 @@ fn collect_e17(smoke: bool) -> Vec<E17Row> {
                 views: views as u64,
                 updates: crashed.scheduler_metrics.updates_received,
                 converged: matched && clean.quiescent && crashed.quiescent,
-                recoveries: crashed.recovery.recoveries,
-                wal_records_replayed: crashed.recovery.wal_records_replayed,
-                wal_bytes_replayed: crashed.recovery.wal_bytes_replayed,
-                sweeps_reseeded: crashed.recovery.sweeps_reseeded,
-                stale_answers_dropped: crashed.recovery.stale_answers_dropped,
+                recoveries: recovery.recoveries,
+                wal_records_replayed: recovery.wal_records_replayed,
+                wal_bytes_replayed: recovery.wal_bytes_replayed,
+                sweeps_reseeded: recovery.sweeps_reseeded,
+                stale_answers_dropped: recovery.stale_answers_dropped,
                 checkpoints_taken: crashed.checkpoints_taken,
                 wal_bytes_written: crashed.wal_bytes_written,
                 recovery_latency_us: crashed.end_time.saturating_sub(clean.end_time),
@@ -1148,15 +1149,14 @@ fn collect_e18(smoke: bool) -> Vec<E18Row> {
             let generated = sharded_scenario(s, updates);
             let n = generated.scenario.base.num_relations();
             let views = generated.scenario.views.len();
-            let sharded = ShardedExperiment::new(generated.clone()).run().unwrap();
+            let sharded = MultiViewExperiment::new(generated.scenario.clone())
+                .sharded(generated.map)
+                .run()
+                .unwrap();
             let flat = MultiViewExperiment::new(generated.scenario).run().unwrap();
+            let shard_stats = sharded.shard_stats.as_ref().expect("a sharded run");
             let conforms = flat.quiescent
-                && sharded.install_fingerprint()
-                    == flat
-                        .views
-                        .iter()
-                        .map(|v| v.installs.iter().map(|r| r.consumed.clone()).collect())
-                        .collect::<Vec<Vec<_>>>()
+                && sharded.install_fingerprint() == flat.install_fingerprint()
                 && sharded
                     .views
                     .iter()
@@ -1177,8 +1177,8 @@ fn collect_e18(smoke: bool) -> Vec<E18Row> {
                 expected_min_speedup: if s == 1 { 1.0 } else { 0.7 * s as f64 },
                 msgs_per_update: sharded.messages_per_update(),
                 expected_msgs_per_update: (2 * (n - 1)) as f64,
-                escalations: sharded.shard_stats.escalations,
-                max_lanes: sharded.shard_stats.max_concurrent_lanes as u64,
+                escalations: shard_stats.escalations,
+                max_lanes: shard_stats.max_concurrent_lanes as u64,
                 conforms,
                 quiescent: sharded.quiescent,
             }
@@ -1218,7 +1218,7 @@ fn collect_e19(smoke: bool) -> Vec<E19Row> {
     let scenario = serve_scenario(updates);
     let n = scenario.base.num_relations();
     let views = scenario.views.len();
-    let referee = ServeExperiment::new(scenario.clone()).run().unwrap();
+    let referee = MultiViewExperiment::new(scenario.clone()).run().unwrap();
     let mixes: [(&str, f64, f64); 2] = [("point-heavy", 0.8, 0.15), ("scan-heavy", 0.15, 0.8)];
     mixes
         .into_iter()
@@ -1228,10 +1228,12 @@ fn collect_e19(smoke: bool) -> Vec<E19Row> {
                 .iter()
                 .filter(|r| !matches!(r.kind, dw_workload::ReadKind::Subscribe))
                 .count() as u64;
-            let report = ServeExperiment::new(scenario.clone())
+            let report = MultiViewExperiment::new(scenario.clone())
+                .baseline_subscriptions(true)
                 .reads(reads)
                 .run()
                 .unwrap();
+            let serve_stats = &report.serve.as_ref().expect("a serving run").serve_stats;
             let audit = audit_reads(&scenario, &report).unwrap();
             debug_assert_eq!(audit.reads, issued);
             E19Row {
@@ -1248,8 +1250,8 @@ fn collect_e19(smoke: bool) -> Vec<E19Row> {
                 baseline_makespan_us: referee.makespan(),
                 msgs_per_update: report.messages_per_update(),
                 baseline_msgs_per_update: referee.messages_per_update(),
-                snapshots_published: report.serve_stats.snapshots_published,
-                snapshots_gced: report.serve_stats.snapshots_gced,
+                snapshots_published: serve_stats.snapshots_published,
+                snapshots_gced: serve_stats.snapshots_gced,
                 reads_match_recompute: audit.clean(),
                 subs_match_installs: report.subscriptions_match_installs(),
                 quiescent: report.quiescent,
@@ -1450,7 +1452,7 @@ fn collect_e21(smoke: bool) -> Vec<E21Row> {
     let scenario = serve_scenario(updates);
     let n = scenario.base.num_relations();
     let views = scenario.views.len();
-    let referee = ServeExperiment::new(scenario.clone()).run().unwrap();
+    let referee = MultiViewExperiment::new(scenario.clone()).run().unwrap();
     let mixes: [(&str, f64, f64); 2] = [("hot-key-skew", 1.1, 5.0), ("uniform", 0.0, 1.0)];
     mixes
         .into_iter()
@@ -1460,21 +1462,23 @@ fn collect_e21(smoke: bool) -> Vec<E21Row> {
                 .iter()
                 .filter(|r| matches!(r.kind, dw_workload::ReadKind::Point { .. }))
                 .count() as u64;
-            let linear = ServeExperiment::new(scenario.clone())
+            let linear = MultiViewExperiment::new(scenario.clone())
+                .baseline_subscriptions(true)
                 .reads(reads.clone())
                 .point_index(false)
                 .run()
                 .unwrap();
-            let accel = ServeExperiment::new(scenario.clone())
+            let accel = MultiViewExperiment::new(scenario.clone())
+                .baseline_subscriptions(true)
                 .reads(reads)
                 .answer_cache(64)
                 .run()
                 .unwrap();
-            let linear_work =
-                linear.serve_stats.read_work_tuples + linear.serve_stats.index_maintenance_tuples;
-            let accel_work =
-                accel.serve_stats.read_work_tuples + accel.serve_stats.index_maintenance_tuples;
-            let cache_lookups = accel.serve_stats.cache_hits + accel.serve_stats.cache_misses;
+            let linear_stats = &linear.serve.as_ref().expect("a serving run").serve_stats;
+            let accel_stats = &accel.serve.as_ref().expect("a serving run").serve_stats;
+            let linear_work = linear_stats.read_work_tuples + linear_stats.index_maintenance_tuples;
+            let accel_work = accel_stats.read_work_tuples + accel_stats.index_maintenance_tuples;
+            let cache_lookups = accel_stats.cache_hits + accel_stats.cache_misses;
 
             // The lag arm: the same maintenance load under a poll-heavy
             // mix with one bounded subscription (max_lag = 1) per view.
@@ -1487,7 +1491,8 @@ fn collect_e21(smoke: bool) -> Vec<E21Row> {
                 )
             }
             .generate();
-            let lagged = ServeExperiment::new(scenario.clone())
+            let lagged = MultiViewExperiment::new(scenario.clone())
+                .baseline_subscriptions(true)
                 .reads(lag_reads)
                 .bounded_subscriptions(1)
                 .run()
@@ -1504,15 +1509,15 @@ fn collect_e21(smoke: bool) -> Vec<E21Row> {
                 accel_work_tuples: accel_work,
                 speedup: linear_work as f64 / accel_work.max(1) as f64,
                 expected_min_speedup,
-                index_builds: accel.serve_stats.point_index_builds,
-                index_derives: accel.serve_stats.point_index_derived,
-                index_hits: accel.serve_stats.point_index_hits,
-                cache_hits: accel.serve_stats.cache_hits,
-                cache_misses: accel.serve_stats.cache_misses,
-                cache_evictions: accel.serve_stats.cache_evictions,
-                cache_hit_ratio: accel.serve_stats.cache_hits as f64 / cache_lookups.max(1) as f64,
-                bags_deep_cloned: accel.serve_stats.bags_deep_cloned,
-                snapshots_published: accel.serve_stats.snapshots_published,
+                index_builds: accel_stats.point_index_builds,
+                index_derives: accel_stats.point_index_derived,
+                index_hits: accel_stats.point_index_hits,
+                cache_hits: accel_stats.cache_hits,
+                cache_misses: accel_stats.cache_misses,
+                cache_evictions: accel_stats.cache_evictions,
+                cache_hit_ratio: accel_stats.cache_hits as f64 / cache_lookups.max(1) as f64,
+                bags_deep_cloned: accel_stats.bags_deep_cloned,
+                snapshots_published: accel_stats.snapshots_published,
                 answers_match: serve_answers_identical(&linear, &accel),
                 makespan_us: accel.makespan(),
                 baseline_makespan_us: referee.makespan(),
@@ -1539,8 +1544,11 @@ pub fn scale_read_mix(smoke: bool, n_views: usize, zipf_theta: f64) -> Vec<dw_wo
 
 /// Byte-equality of two runs' read outcomes, field-wise (`Bag` wraps a
 /// HashMap, so Debug-string comparison would be iteration-order noise).
-fn serve_answers_identical(a: &dw_core::ServeReport, b: &dw_core::ServeReport) -> bool {
+fn serve_answers_identical(a: &MultiViewReport, b: &MultiViewReport) -> bool {
     use dw_core::ReadResult;
+    let (Some(a), Some(b)) = (&a.serve, &b.serve) else {
+        return false;
+    };
     a.reads.len() == b.reads.len()
         && a.reads.iter().zip(&b.reads).all(|(x, y)| {
             x.op == y.op

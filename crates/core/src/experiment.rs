@@ -76,6 +76,13 @@ pub enum CoreError {
     /// A multi-view scheduler failure that is not a relational or
     /// warehouse error (unknown view id, busy view, …).
     Multi(String),
+    /// The builder combined a knob with an engine that cannot honour it
+    /// (durability, naive mode, batching or pushdown on the sharded
+    /// engine). Raised before any event is processed.
+    Unsupported {
+        /// The refused knob.
+        knob: &'static str,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -89,6 +96,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::NoSuchNode { node } => write!(f, "delivery to unknown node {node}"),
             CoreError::Multi(msg) => f.write_str(msg),
+            CoreError::Unsupported { knob } => {
+                write!(f, "the sharded engine does not support {knob}")
+            }
         }
     }
 }

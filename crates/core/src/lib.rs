@@ -5,6 +5,9 @@
 //! network profile, run the deterministic simulation, and get back a
 //! [`RunReport`] with the materialized view, install history, message
 //! accounting, staleness, and a verified consistency classification.
+//! Multi-view runs — flat or sharded, maintenance-only or serving reads —
+//! go through the one [`MultiViewExperiment`] builder and report a
+//! [`MultiViewReport`].
 //!
 //! ```
 //! use dw_core::{Experiment, PolicyKind};
@@ -26,15 +29,13 @@ pub mod experiment;
 pub mod multi_experiment;
 pub mod report;
 mod runner;
-pub mod serve_experiment;
-pub mod sharded_experiment;
+pub mod serve;
 
 pub use experiment::{CoreError, Experiment, PolicyKind};
 pub use multi_experiment::{DerivedOutcome, MultiViewExperiment, MultiViewReport, ViewOutcome};
 pub use report::RunReport;
-pub use serve_experiment::{
+pub use serve::{
     audit_lag_recoveries, audit_reads, oracle_expects_rejection, oracle_view_at_epoch, LagAudit,
-    LagEvent, LagSubscription, OracleAudit, ReadOutcome, ReadResult, ServeExperiment, ServeReport,
+    LagEvent, LagSubscription, OracleAudit, ReadOutcome, ReadResult, ServeOutcome,
     SubscriptionOutcome,
 };
-pub use sharded_experiment::{ShardedExperiment, ShardedReport};

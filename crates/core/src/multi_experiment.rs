@@ -1,34 +1,56 @@
-//! Multi-view experiment harness: many registered views, one scheduler.
+//! The multi-view experiment builder: many registered views, one
+//! scheduler, optionally partitioned, optionally serving reads.
 //!
-//! Mirrors [`Experiment`](crate::Experiment) but drives a
-//! [`MaintenanceScheduler`] instead of a single maintenance policy: the
-//! scenario carries a *base chain* plus a set of span views
+//! Mirrors [`Experiment`](crate::Experiment) but drives a multi-view
+//! scheduler instead of a single maintenance policy: the scenario
+//! carries a *base chain* plus a set of span views
 //! ([`dw_workload::MultiViewScenario`]), every view is registered before
 //! the stream starts, and the run reports per-view outcomes (final bag,
 //! install log, metrics, consistency level) plus cross-view mutual
-//! consistency and the shared-vs-naive message accounting E14 measures.
+//! consistency and the message accounting E14 measures.
+//!
+//! One builder covers every engine shape:
+//!
+//! * **flat** (the default): a [`MaintenanceScheduler`] in shared or
+//!   naive mode, with optional batching, σ pushdown and durability —
+//!   unscoped warehouse state crashes route to its durable recovery;
+//! * **sharded** ([`MultiViewExperiment::sharded`]): a
+//!   [`ShardedScheduler`] running S concurrent per-shard lanes behind
+//!   one install order — shard-scoped state crashes
+//!   ([`FaultPlan::state_crash_shard`]) abort and re-seed one lane while
+//!   the others keep sweeping. Knobs the sharded engine cannot honour
+//!   (durability, naive mode, batching, pushdown) are refused by
+//!   [`MultiViewExperiment::run`] with [`CoreError::Unsupported`] before
+//!   any event is processed;
+//! * **serving** (see [`crate::serve`]): when the run has reads,
+//!   subscriptions or an answer cache, a snapshot-pinned read frontend
+//!   is attached as the engine's install publisher and the read schedule
+//!   is resolved between deliveries. Maintenance-only runs attach
+//!   nothing and do no publish work.
 
 use crate::experiment::CoreError;
 use crate::runner::{NetProfile, SimHarness};
+use crate::serve::{ServeOutcome, Server};
 use dw_consistency::{
     classify, mutual_consistency, remap_installs, ConsistencyLevel, ConsistencyReport,
     MutualReport, Recorder, ViewLog,
 };
 use dw_multiview::{
-    CascadeStats, DurabilityConfig, EngineOptions, MaintenanceScheduler, MvError, RecoveryStats,
-    SchedulerMode, ViewId, ViewRegistry,
+    CascadeStats, DurabilityConfig, EngineOptions, MaintenanceScheduler, MultiViewScheduler,
+    MvError, RecoveryStats, SchedulerMode, ShardStats, ShardedScheduler, ViewId, ViewRegistry,
 };
 use dw_protocol::{node_source, source_node, Message, TransportConfig, UpdateId, WAREHOUSE_NODE};
-use dw_relational::{eval_view, Bag};
+use dw_relational::{eval_view, Bag, ShardMap};
 use dw_simnet::{FaultPlan, LatencyModel, NetStats, NodeId, Time};
 use dw_source::DataSource;
 use dw_warehouse::{InstallRecord, PolicyMetrics};
-use dw_workload::{MultiViewScenario, ViewPolicy};
+use dw_workload::{MultiViewScenario, ReadOp, ViewPolicy};
 
-/// A configured multi-view experiment: scenario × scheduler mode ×
-/// network profile.
+/// A configured multi-view experiment: scenario × engine shape × read
+/// mix × network profile.
 pub struct MultiViewExperiment {
     scenario: MultiViewScenario,
+    map: Option<ShardMap>,
     mode: SchedulerMode,
     opts: EngineOptions,
     latency: LatencyModel,
@@ -40,16 +62,22 @@ pub struct MultiViewExperiment {
     faults: FaultPlan,
     transport: Option<TransportConfig>,
     durability: Option<DurabilityConfig>,
+    reads: Vec<ReadOp>,
+    baseline_subs: bool,
+    point_index: bool,
+    cache_capacity: usize,
+    bounded_sub_lag: Option<usize>,
     obs: dw_obs::Obs,
 }
 
 impl MultiViewExperiment {
-    /// New experiment over a multi-view scenario, defaulting to the
+    /// New experiment over a multi-view scenario, defaulting to the flat
     /// shared-sweep scheduler, 1 ms constant links, consistency checking
-    /// on.
+    /// on, and no serving layer.
     pub fn new(scenario: MultiViewScenario) -> Self {
         MultiViewExperiment {
             scenario,
+            map: None,
             mode: SchedulerMode::Shared,
             opts: EngineOptions::default(),
             latency: LatencyModel::Constant(1_000),
@@ -61,37 +89,44 @@ impl MultiViewExperiment {
             faults: FaultPlan::default(),
             transport: None,
             durability: None,
+            reads: Vec::new(),
+            baseline_subs: false,
+            point_index: true,
+            cache_capacity: 0,
+            bounded_sub_lag: None,
             obs: dw_obs::Obs::off(),
         }
     }
 
-    /// Choose shared-sweep or the naive per-view baseline.
+    /// Choose shared-sweep or the naive per-view baseline (flat engine
+    /// only).
     pub fn mode(mut self, mode: SchedulerMode) -> Self {
         self.mode = mode;
         self
     }
 
     /// Enable cross-update batching: one shared sweep folds up to `k`
-    /// queued same-source updates (shared mode only; `1` disables). The
-    /// E15 experiment measures messages/update falling toward
+    /// queued same-source updates (flat shared mode only; `1` disables).
+    /// The E15 experiment measures messages/update falling toward
     /// `2(n−1)/k` under bursty arrivals.
     pub fn batch(mut self, k: usize) -> Self {
         self.opts.batch = k;
         self
     }
 
-    /// Push per-view selection predicates down to the sources: sweep
-    /// queries carry the affected views' σ over the target relation and
-    /// sources filter before joining, so only qualifying tuples travel
-    /// back. Final views and install sequences are identical either way;
-    /// the E16 experiment measures the tuples-on-wire reduction.
+    /// Push per-view selection predicates down to the sources (flat
+    /// engine only): sweep queries carry the affected views' σ over the
+    /// target relation and sources filter before joining, so only
+    /// qualifying tuples travel back. Final views and install sequences
+    /// are identical either way; the E16 experiment measures the
+    /// tuples-on-wire reduction.
     pub fn pushdown(mut self, on: bool) -> Self {
         self.opts.pushdown = on;
         self
     }
 
-    /// Attach an observability recorder (scheduler spans/counters, plus
-    /// network and transport instrumentation).
+    /// Attach an observability recorder (scheduler spans/counters,
+    /// network and transport instrumentation, and the read frontend).
     pub fn observe(mut self, obs: dw_obs::Obs) -> Self {
         self.obs = obs;
         self
@@ -134,8 +169,12 @@ impl MultiViewExperiment {
     }
 
     /// Install a fault plan (drops, duplicates, reordering, partitions,
-    /// crashes). Pair with [`MultiViewExperiment::transport`] to restore
-    /// the reliable-FIFO contract the scheduler assumes.
+    /// crashes). Pair link faults with
+    /// [`MultiViewExperiment::transport`] to restore the reliable-FIFO
+    /// contract the scheduler assumes. Warehouse state-crash windows
+    /// route to the engine: the flat one recovers from its durable store
+    /// (arm [`MultiViewExperiment::durability`] to survive them), the
+    /// sharded one re-seeds the lane of a shard-scoped window.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -154,29 +193,131 @@ impl MultiViewExperiment {
         self
     }
 
-    /// Arm warehouse crash recovery: durable checkpoints every
-    /// `checkpoint_every` sweep commits plus a sweep WAL. Required for
-    /// the scheduler to survive [`FaultPlan::state_crash`] windows —
-    /// the harness routes each state-crash restart into
-    /// `MaintenanceScheduler::crash_and_recover`.
+    /// Arm warehouse crash recovery on the flat engine: durable
+    /// checkpoints every `checkpoint_every` sweep commits plus a sweep
+    /// WAL. Required for the scheduler to survive
+    /// [`FaultPlan::state_crash`] windows.
     pub fn durability(mut self, checkpoint_every: usize) -> Self {
         self.durability = Some(DurabilityConfig { checkpoint_every });
         self
     }
 
+    /// Drive a [`ShardedScheduler`] over this partitioner instead of the
+    /// flat engine (`ShardedScenario`s carry theirs as `map`).
+    pub fn sharded(mut self, map: ShardMap) -> Self {
+        self.map = Some(map);
+        self
+    }
+
+    /// The read schedule to resolve against the snapshot store
+    /// (typically `ReadMixConfig::generate()`).
+    pub fn reads(mut self, reads: Vec<ReadOp>) -> Self {
+        self.reads = reads;
+        self.reads.sort_by_key(|op| (op.at, op.reader));
+        self
+    }
+
+    /// Register one subscription per view (derived views included)
+    /// before traffic starts — their drained streams must replay the
+    /// full install fingerprint
+    /// ([`MultiViewReport::subscriptions_match_installs`]).
+    pub fn baseline_subscriptions(mut self, on: bool) -> Self {
+        self.baseline_subs = on;
+        self
+    }
+
+    /// Enable/disable the store's per-epoch point indexes (on by
+    /// default). The off arm linearly scans every point read — the E21
+    /// baseline, byte-identical in answers to the indexed arm.
+    pub fn point_index(mut self, on: bool) -> Self {
+        self.point_index = on;
+        self
+    }
+
+    /// Capacity of the read-through answer cache (entries; 0 — the
+    /// default — disables it). Deterministic FIFO eviction; invisible to
+    /// every answer, which the equivalence suite asserts byte-for-byte.
+    pub fn answer_cache(mut self, capacity: usize) -> Self {
+        self.cache_capacity = capacity;
+        self
+    }
+
+    /// Register one *bounded* subscription per base view before traffic
+    /// starts, with the given `max_lag` queue bound. `ReadKind::Poll`
+    /// ops in the read mix drain them mid-run; an overflowed one is
+    /// resumed through the snapshot-at-`resume_epoch` recovery path and
+    /// its full event history lands in [`ServeOutcome::lag`], where
+    /// [`audit_lag_recoveries`](crate::audit_lag_recoveries) proves it
+    /// equivalent to the unbounded stream.
+    pub fn bounded_subscriptions(mut self, max_lag: usize) -> Self {
+        self.bounded_sub_lag = Some(max_lag);
+        self
+    }
+
+    /// The first knob this configuration sets that the sharded engine
+    /// cannot honour (`None` on the flat engine).
+    fn unsupported_knob(&self) -> Option<&'static str> {
+        self.map.as_ref()?;
+        if self.durability.is_some() {
+            Some("durability")
+        } else if self.mode == SchedulerMode::Naive {
+            Some("naive mode")
+        } else if self.opts.batch_width() > 1 {
+            Some("batching")
+        } else if self.opts.pushdown {
+            Some("pushdown")
+        } else {
+            None
+        }
+    }
+
     /// Run to network quiescence and report.
     pub fn run(self) -> Result<MultiViewReport, CoreError> {
-        let scenario = &self.scenario;
-        let base = scenario.base.clone();
-        let n = base.num_relations();
-
+        if let Some(knob) = self.unsupported_knob() {
+            return Err(CoreError::Unsupported { knob });
+        }
         if let Some(cfg) = &self.transport {
             cfg.validate()
                 .map_err(|e| CoreError::Multi(e.to_string()))?;
         }
-        let mut sched = MaintenanceScheduler::with_options(base.clone(), self.mode, self.opts)?;
+        let scenario = &self.scenario;
+        let base = scenario.base.clone();
+        let n = base.num_relations();
+
+        let mut sched: Box<dyn MultiViewScheduler> = match &self.map {
+            None => Box::new(MaintenanceScheduler::with_options(
+                base.clone(),
+                self.mode,
+                self.opts,
+            )?),
+            Some(map) => {
+                let mut s = ShardedScheduler::with_options(base.clone(), map.clone(), self.opts)?;
+                for bag in &scenario.initial {
+                    s.seed_groups(bag);
+                }
+                Box::new(s)
+            }
+        };
         sched.set_record_snapshots(self.record_snapshots);
         sched.set_observer(self.obs.clone());
+
+        // The serving layer rides along only when there is something to
+        // serve; engine installs then publish into its snapshot store.
+        let serves = !self.reads.is_empty()
+            || self.baseline_subs
+            || self.bounded_sub_lag.is_some()
+            || self.cache_capacity > 0;
+        let mut server = serves.then(|| {
+            Server::new(
+                self.reads,
+                self.point_index,
+                self.cache_capacity,
+                self.obs.clone(),
+            )
+        });
+        if let Some(s) = &server {
+            s.attach(sched.as_mut());
+        }
 
         // Register every view with its correct initial contents; build a
         // per-view recorder over the view's *local* definition (span
@@ -187,21 +328,52 @@ impl MultiViewExperiment {
             let local = spec.compile(&base)?;
             let refs: Vec<&Bag> = scenario.initial[spec.lo..=spec.hi].iter().collect();
             let initial_view = eval_view(&local, &refs)?;
+            if let Some(s) = &server {
+                s.register_view(ids.len(), &spec.name, initial_view.clone());
+            }
             ids.push(sched.register(spec, initial_view)?);
-            recorders.push(self.check_consistency.then(|| {
-                Recorder::new(local.clone(), scenario.initial[spec.lo..=spec.hi].to_vec())
-            }));
+            recorders.push(
+                self.check_consistency
+                    .then(|| Recorder::new(local, scenario.initial[spec.lo..=spec.hi].to_vec())),
+            );
         }
         let spans: Vec<(usize, usize)> = scenario.views.iter().map(|s| (s.lo, s.hi)).collect();
         // Derived (view-over-view) registrations go on top of the base
         // set; order-independent resolution handles stacks given in any
-        // order and rejects cycles/unknown parents up front.
-        let derived_ids = sched.register_derived_many(&scenario.derived)?;
+        // order and rejects cycles/unknown parents up front. They ride
+        // the cascade, and are mirrored into the frontend in ascending
+        // slot order so published events land on the right snapshots.
+        let mut derived_ids = sched.register_derived_many(&scenario.derived)?;
+        derived_ids.sort_by_key(|id| id.index());
+        if let Some(s) = &server {
+            let reg = sched.views();
+            for &id in &derived_ids {
+                s.register_view(id.index(), reg.name(id)?, reg.view_bag(id)?.clone());
+            }
+        }
         // Durability arms after registration so the initial checkpoint
         // already carries every view at its correct initial contents.
         if let Some(cfg) = self.durability {
-            sched.enable_durability(cfg);
+            sched.enable_durability(cfg)?;
         }
+        if let Some(s) = &mut server {
+            s.subscribe(
+                self.baseline_subs,
+                self.bounded_sub_lag,
+                scenario.views.len(),
+            )?;
+        }
+
+        // Shard-scoped crash windows at the warehouse, keyed by their
+        // restart time, so each `Restart` reaches the engine with the
+        // shard it crashed.
+        let mut scoped_restarts: Vec<(Time, usize)> = self
+            .faults
+            .state_crashes()
+            .iter()
+            .filter(|c| c.node == WAREHOUSE_NODE)
+            .filter_map(|c| c.shard.map(|s| (c.up_at, s)))
+            .collect();
 
         let profile = NetProfile {
             latency: self.latency,
@@ -238,15 +410,22 @@ impl MultiViewExperiment {
 
         let mut delivery_log: Vec<(UpdateId, Time)> = Vec::new();
         harness.drive(|d, net| {
+            // Readers run ahead of the engine: every op issued at or
+            // before this delivery resolves before it can commit.
+            if let Some(s) = server.as_mut() {
+                s.catch_up(Some(d.at), delivery_log.len())?;
+            }
             if d.to == WAREHOUSE_NODE {
                 if matches!(d.msg, Message::Restart) {
                     // A warehouse *state crash* just healed: volatile
                     // scheduler state is gone, the durable store is not.
-                    // Recover instead of dispatching (the scheduler's
-                    // dispatcher rejects Restart as unexpected). With
-                    // durability unarmed this is a no-op — the amnesia
-                    // semantics the pre-recovery engine had.
-                    sched.crash_and_recover(net)?;
+                    // Recover instead of dispatching (the dispatcher
+                    // rejects Restart as unexpected).
+                    let shard = scoped_restarts
+                        .iter()
+                        .position(|&(at, _)| at == d.at)
+                        .map(|p| scoped_restarts.swap_remove(p).1);
+                    sched.restart(shard, net)?;
                     return Ok(());
                 }
                 if let Message::Update(u) = &d.msg {
@@ -281,30 +460,32 @@ impl MultiViewExperiment {
             }
             Ok(())
         })?;
+        let serve = server.map(|s| s.finish(delivery_log.len())).transpose()?;
 
         // Per-view outcomes: classify each install log (shifted into span
         // coordinates) against the view's own recorder.
+        let reg = sched.views();
         let mut views: Vec<ViewOutcome> = Vec::new();
         for (v, &id) in ids.iter().enumerate() {
-            let installs = sched.views().install_log(id)?.to_vec();
-            let bag = sched.views().view_bag(id)?.clone();
+            let installs = reg.install_log(id)?.to_vec();
+            let bag = reg.view_bag(id)?.clone();
             let consistency = recorders[v].as_ref().map(|rec| {
                 let local_installs = remap_installs(&installs, spans[v].0);
                 classify(rec, &local_installs, &bag)
             });
             views.push(ViewOutcome {
-                name: sched.views().name(id)?.to_string(),
+                name: reg.name(id)?.to_string(),
                 lo: spans[v].0,
                 hi: spans[v].1,
-                policy: sched.views().policy(id)?,
+                policy: reg.policy(id)?,
                 view: bag,
                 installs,
-                metrics: sched.views().metrics(id)?.clone(),
+                metrics: reg.metrics(id)?.clone(),
                 consistency,
             });
         }
 
-        let derived = derived_outcomes(sched.views(), &derived_ids)?;
+        let derived = derived_outcomes(reg, &derived_ids)?;
 
         let mutual = self.check_consistency.then(|| {
             let logs: Vec<ViewLog<'_>> = views
@@ -319,26 +500,21 @@ impl MultiViewExperiment {
             mutual_consistency(&logs)
         });
 
-        let transport_quiescent = harness.transport_quiescent();
-
+        let durable = sched.durable();
         Ok(MultiViewReport {
             mode: self.mode,
             views,
             derived,
-            cascade: sched.views().cascade_stats(),
+            cascade: reg.cascade_stats(),
             scheduler_metrics: sched.metrics().clone(),
-            recovery: sched.recovery_stats(),
-            wal_bytes_written: sched
-                .durable_stats()
-                .map(|s| s.wal_bytes_written)
-                .unwrap_or(0),
-            checkpoints_taken: sched
-                .durable_stats()
-                .map(|s| s.checkpoints_taken)
-                .unwrap_or(0),
+            recovery: sched.recovery(),
+            wal_bytes_written: durable.map_or(0, |s| s.wal_bytes_written),
+            checkpoints_taken: durable.map_or(0, |s| s.checkpoints_taken),
+            shard_stats: sched.shard_stats().cloned(),
+            serve,
             mutual,
             net: harness.net.stats().clone(),
-            quiescent: sched.is_quiescent() && transport_quiescent,
+            quiescent: sched.is_quiescent() && harness.transport_quiescent(),
             end_time: harness.net.now(),
             events: harness.events,
             delivery_log,
@@ -463,9 +639,11 @@ pub struct MultiViewReport {
     pub mode: SchedulerMode,
     /// Per-view outcomes, in registration order.
     pub views: Vec<ViewOutcome>,
-    /// Derived (view-over-view) outcomes, in registration order. Their
-    /// maintenance is fed locally by the cascade, never by source
-    /// round-trips, so they appear nowhere in the message accounting.
+    /// Derived (view-over-view) outcomes, in ascending slot order — their
+    /// slots follow the base views', so slot `views.len() + k` is
+    /// `derived[k]`. Their maintenance is fed locally by the cascade,
+    /// never by source round-trips, so they appear nowhere in the
+    /// message accounting.
     pub derived: Vec<DerivedOutcome>,
     /// Cascade counters: child installs, memoized sibling derivations,
     /// and fresh linear evaluations.
@@ -473,14 +651,19 @@ pub struct MultiViewReport {
     /// Aggregate scheduler counters (updates, queries, answers,
     /// compensations; installs are per view).
     pub scheduler_metrics: PolicyMetrics,
-    /// Accumulated crash-recovery statistics (zeros when durability was
-    /// off or no state crash fired).
-    pub recovery: RecoveryStats,
+    /// Flat-engine crash-recovery statistics (zeros when durability was
+    /// off or no state crash fired; `None` when sharded).
+    pub recovery: Option<RecoveryStats>,
     /// Total modeled WAL bytes appended over the run (0 with durability
     /// off).
     pub wal_bytes_written: u64,
     /// Durable checkpoints taken over the run (0 with durability off).
     pub checkpoints_taken: u64,
+    /// Sharding counters — lane concurrency, escalations, crash/re-seed
+    /// accounting (`None` on the flat engine).
+    pub shard_stats: Option<ShardStats>,
+    /// The serving layer's outcome (`None` when the run served nothing).
+    pub serve: Option<ServeOutcome>,
     /// Cross-view mutual consistency (when checking was enabled).
     pub mutual: Option<MutualReport>,
     /// Network-level accounting.
@@ -505,8 +688,11 @@ impl MultiViewReport {
     }
 
     /// Query/answer messages per warehouse-received update — the E14
-    /// column. Shared mode stays on `≤ 2(n−1)` regardless of view count;
-    /// naive mode scales with it.
+    /// column. Shared mode stays on `≤ 2(n−1)` regardless of view count
+    /// (and shard count — locality buys concurrency, not traffic); naive
+    /// mode scales with the view count. Reads are answered
+    /// warehouse-locally, so serving never moves it (E19's interference
+    /// gate).
     pub fn messages_per_update(&self) -> f64 {
         if self.scheduler_metrics.updates_received == 0 {
             return 0.0;
@@ -571,12 +757,77 @@ impl MultiViewReport {
         }
         merged.percentile(p)
     }
+
+    /// Makespan of the maintenance work (µs): last install time minus
+    /// first delivery — the virtual-time quantity E18's speedup gate
+    /// divides, and the one readers must not stretch (E19/E21 gate it
+    /// equal to a no-reader referee).
+    pub fn makespan(&self) -> Time {
+        let first = self.delivery_log.iter().map(|&(_, at)| at).min();
+        let last = self
+            .views
+            .iter()
+            .flat_map(|v| v.installs.iter().map(|r| r.at))
+            .max();
+        match (first, last) {
+            (Some(f), Some(l)) if l > f => l - f,
+            _ => 0,
+        }
+    }
+
+    /// Install fingerprint: per view, the sequence of consumed-update
+    /// sets in install order (what the conformance suites compare).
+    pub fn install_fingerprint(&self) -> Vec<Vec<Vec<UpdateId>>> {
+        self.views
+            .iter()
+            .map(|v| v.installs.iter().map(|r| r.consumed.clone()).collect())
+            .collect()
+    }
+
+    /// The install log backing slot `slot` — a base view's outcome for
+    /// the leading slots, a derived view's for the trailing ones.
+    pub fn installs_for_slot(&self, slot: usize) -> Option<&[InstallRecord]> {
+        match slot.checked_sub(self.views.len()) {
+            None => Some(&self.views[slot].installs),
+            Some(k) => self.derived.get(k).map(|d| d.installs.as_slice()),
+        }
+    }
+
+    /// Whether every subscription's stream replays exactly the install
+    /// fingerprint of its view (base or derived) from its start epoch:
+    /// contiguous epochs, matching consumed sets and install times.
+    /// Trivially true when the run served nothing.
+    pub fn subscriptions_match_installs(&self) -> bool {
+        let subs = self.serve.iter().flat_map(|s| &s.subscriptions);
+        subs.into_iter().all(|sub| {
+            let Some(installs) = self.installs_for_slot(sub.view) else {
+                return false;
+            };
+            let expected = &installs[sub.from_epoch as usize..];
+            sub.stream.len() == expected.len()
+                && sub
+                    .stream
+                    .iter()
+                    .zip(expected)
+                    .enumerate()
+                    .all(|(i, (delta, inst))| {
+                        delta.view == sub.view
+                            && delta.epoch == sub.from_epoch + 1 + i as u64
+                            && delta.consumed == inst.consumed
+                            && delta.at == inst.at
+                    })
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_workload::{MultiViewConfig, StreamConfig, ViewSpec};
+    use dw_relational::{AggFn, AggregateSpec, CmpOp, Value};
+    use dw_workload::{
+        DerivedOp, DerivedSpec, MultiViewConfig, ShardedConfig, ShardedScenario, StreamConfig,
+        ViewSpec,
+    };
 
     fn config(n_views: usize, seed: u64) -> MultiViewConfig {
         MultiViewConfig {
@@ -791,7 +1042,7 @@ mod tests {
             .run()
             .unwrap();
         assert!(report.quiescent);
-        assert!(report.recovery.recoveries > 0);
+        assert!(report.recovery.unwrap().recoveries > 0);
         assert!(report.derived_clean());
     }
 
@@ -819,5 +1070,230 @@ mod tests {
         assert_eq!(report.views[0].name, "all");
         assert_eq!(report.views[1].lo, 1);
         assert!(report.min_consistency().unwrap() >= ConsistencyLevel::Convergent);
+    }
+
+    /// A small handwritten stack over the generated base views: one σ/Π
+    /// child of V0, one Σ/group-by child of V0, and a grandchild σ over
+    /// the aggregate.
+    fn stack_on_v0() -> Vec<DerivedSpec> {
+        vec![
+            DerivedSpec {
+                name: "hot".into(),
+                parent: "V0".into(),
+                op: DerivedOp::Select {
+                    selects: vec![(0, CmpOp::Ge, Value::Int(1))],
+                    projection: None,
+                },
+            },
+            DerivedSpec {
+                name: "counts".into(),
+                parent: "V0".into(),
+                op: DerivedOp::Aggregate(AggregateSpec {
+                    group_by: vec![0],
+                    aggs: vec![AggFn::CountRows],
+                }),
+            },
+            DerivedSpec {
+                name: "busy".into(),
+                parent: "counts".into(),
+                op: DerivedOp::Select {
+                    selects: vec![(1, CmpOp::Ge, Value::Int(2))],
+                    projection: None,
+                },
+            },
+        ]
+    }
+
+    fn sharded(generated: ShardedScenario) -> MultiViewExperiment {
+        MultiViewExperiment::new(generated.scenario).sharded(generated.map)
+    }
+
+    fn sharded_config(shards: usize, seed: u64) -> ShardedConfig {
+        ShardedConfig {
+            n_sources: 3,
+            shards,
+            updates: 18,
+            mean_gap: 300,
+            seed,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn sharded_run_converges_with_concurrent_lanes() {
+        let report = sharded(sharded_config(2, 1).generate().unwrap())
+            .run()
+            .unwrap();
+        assert!(report.quiescent);
+        assert!(
+            report.shard_stats.as_ref().unwrap().max_concurrent_lanes >= 2,
+            "bursty shard-local load must overlap lanes"
+        );
+        for v in &report.views {
+            let c = v.consistency.as_ref().unwrap();
+            assert!(
+                c.level >= ConsistencyLevel::Convergent,
+                "view '{}' classified {}: {}",
+                v.name,
+                c.level,
+                c.detail
+            );
+        }
+        assert!(report.mutual.unwrap().final_agreement);
+    }
+
+    #[test]
+    fn sharded_matches_unsharded_installs_and_bags() {
+        let generated = sharded_config(4, 2).generate().unwrap();
+        let sharded = sharded(generated.clone()).run().unwrap();
+        let flat = MultiViewExperiment::new(generated.scenario).run().unwrap();
+        assert!(sharded.quiescent && flat.quiescent);
+        assert_eq!(sharded.query_messages(), flat.query_messages());
+        for (s, f) in sharded.views.iter().zip(flat.views.iter()) {
+            assert_eq!(s.view, f.view, "view '{}'", s.name);
+            let fp = |o: &ViewOutcome| -> Vec<Vec<UpdateId>> {
+                o.installs.iter().map(|r| r.consumed.clone()).collect()
+            };
+            assert_eq!(fp(s), fp(f), "view '{}'", s.name);
+        }
+    }
+
+    #[test]
+    fn escalations_run_and_still_converge() {
+        let mut cfg = sharded_config(2, 3);
+        cfg.cross_shard_frac = 0.25;
+        let report = sharded(cfg.generate().unwrap()).run().unwrap();
+        assert!(report.quiescent);
+        assert!(report.shard_stats.as_ref().unwrap().escalations > 0);
+        for v in &report.views {
+            assert!(v.consistency.as_ref().unwrap().level >= ConsistencyLevel::Convergent);
+        }
+    }
+
+    #[test]
+    fn scoped_crash_reseeds_without_stopping_other_shards() {
+        let generated = sharded_config(2, 4).generate().unwrap();
+        // Anchor the window mid-run; up_at lands while sweeps overlap.
+        let crash_at = generated.scenario.txns[6].at;
+        let clean = sharded(generated.clone()).run().unwrap();
+        let faulted = sharded(generated)
+            .faults(FaultPlan::none().state_crash_shard(
+                WAREHOUSE_NODE,
+                crash_at,
+                crash_at + 1_200,
+                0,
+            ))
+            .run()
+            .unwrap();
+        assert!(faulted.quiescent);
+        assert_eq!(faulted.shard_stats.as_ref().unwrap().shard_crashes, 1);
+        // Identical outcome to the fault-free run.
+        assert_eq!(faulted.install_fingerprint(), clean.install_fingerprint());
+        for (f, c) in faulted.views.iter().zip(clean.views.iter()) {
+            assert_eq!(f.view, c.view);
+        }
+    }
+
+    #[test]
+    fn sharded_derived_match_flat_derived_and_oracle() {
+        let mut generated = sharded_config(3, 5).generate().unwrap();
+        generated.scenario.derived = stack_on_v0();
+        let sharded = sharded(generated.clone()).run().unwrap();
+        let flat = MultiViewExperiment::new(generated.scenario).run().unwrap();
+        assert!(sharded.quiescent && flat.quiescent);
+        assert_eq!(sharded.derived.len(), 3);
+        assert!(sharded.derived_clean());
+        assert!(flat.derived_clean());
+        // Derived views add no source traffic under either engine.
+        assert_eq!(sharded.query_messages(), flat.query_messages());
+        for (s, f) in sharded.derived.iter().zip(flat.derived.iter()) {
+            assert_eq!(s.view, f.view, "derived '{}'", s.name);
+        }
+    }
+
+    #[test]
+    fn scoped_crash_keeps_derived_oracle_clean() {
+        let mut generated = sharded_config(2, 4).generate().unwrap();
+        generated.scenario.derived = stack_on_v0();
+        let crash_at = generated.scenario.txns[6].at;
+        let report = sharded(generated)
+            .faults(FaultPlan::none().state_crash_shard(
+                WAREHOUSE_NODE,
+                crash_at,
+                crash_at + 1_200,
+                0,
+            ))
+            .run()
+            .unwrap();
+        assert!(report.quiescent);
+        assert_eq!(report.shard_stats.as_ref().unwrap().shard_crashes, 1);
+        assert!(report.derived_clean());
+    }
+
+    #[test]
+    fn sharded_deterministic_replay() {
+        let r1 = sharded(sharded_config(2, 6).generate().unwrap())
+            .seed(7)
+            .run()
+            .unwrap();
+        let r2 = sharded(sharded_config(2, 6).generate().unwrap())
+            .seed(7)
+            .run()
+            .unwrap();
+        assert_eq!(r1.events, r2.events);
+        assert_eq!(r1.end_time, r2.end_time);
+        assert_eq!(r1.install_fingerprint(), r2.install_fingerprint());
+    }
+
+    #[test]
+    fn makespan_shrinks_with_shards() {
+        // Same logical load at S=1 and S=4: the sharded engine overlaps
+        // lanes, so its maintenance makespan must be meaningfully
+        // shorter. (E18 gates the precise speedup; this is the smoke
+        // version.)
+        let mk = |shards: usize| {
+            let mut cfg = sharded_config(shards, 8);
+            cfg.shards = shards;
+            cfg.updates = 16;
+            cfg.mean_gap = 200;
+            sharded(cfg.generate().unwrap()).run().unwrap().makespan()
+        };
+        let m1 = mk(1);
+        let m4 = mk(4);
+        assert!(
+            (m4 as f64) < 0.8 * m1 as f64,
+            "S=4 makespan {m4} not meaningfully below S=1 {m1}"
+        );
+    }
+
+    #[test]
+    fn sharded_refuses_unsupported_knobs_before_any_event() {
+        let generated = sharded_config(2, 1).generate().unwrap();
+        type Knob = fn(MultiViewExperiment) -> MultiViewExperiment;
+        let refused: [(&str, Knob); 5] = [
+            ("durability", |e| e.durability(2)),
+            ("naive mode", |e| e.mode(SchedulerMode::Naive)),
+            ("batching", |e| e.batch(3)),
+            ("pushdown", |e| e.pushdown(true)),
+            ("durability", |e| e.durability(1).batch(2).pushdown(true)),
+        ];
+        for (knob, set) in refused {
+            // An event cap of 0 turns any processed event into
+            // EventCapExceeded: the refusal must come first.
+            let err = set(sharded(generated.clone()).event_cap(0))
+                .run()
+                .err()
+                .unwrap_or_else(|| panic!("sharded + {knob} was accepted"));
+            assert_eq!(err, CoreError::Unsupported { knob }, "{knob}");
+        }
+        // The flat engine honours every one of them.
+        for (knob, set) in refused {
+            let report = set(MultiViewExperiment::new(generated.scenario.clone()))
+                .run()
+                .unwrap_or_else(|e| panic!("flat + {knob} refused: {e}"));
+            assert!(report.quiescent, "flat + {knob}");
+        }
+        // Batch width 1 (batching off) stays legal when sharded.
+        assert!(sharded(generated).batch(1).run().unwrap().quiescent);
     }
 }

@@ -1,8 +1,10 @@
 //! The shared simulation drive loop.
 //!
-//! [`Experiment`](crate::Experiment) and
-//! [`MultiViewExperiment`](crate::MultiViewExperiment) differ only in
-//! *who* sits at the warehouse node; the network profile, the optional
+//! The two builders — [`Experiment`](crate::Experiment) (one view, any
+//! single-view policy) and
+//! [`MultiViewExperiment`](crate::MultiViewExperiment) (flat or sharded
+//! scheduler, serving or not) — differ only in *who* sits at the
+//! warehouse node; the network profile, the optional
 //! reliability-transport endpoints, the event-capped dispatch loop, and
 //! the drain accounting are identical. This module owns that machinery
 //! once: harnesses describe their network as a [`NetProfile`], build a

@@ -9,11 +9,11 @@
 
 use dw_engine::{run_cluster, NodeRunner, ThreadNet};
 use dw_protocol::{source_node, Message, WAREHOUSE_NODE};
-use dw_relational::BaseRelation;
+use dw_relational::{Bag, BaseRelation, ViewDef};
 use dw_simnet::{NodeId, Time};
 use dw_source::DataSource;
 use dw_warehouse::{InstallRecord, MaintenancePolicy, PolicyMetrics, WarehouseError};
-use dw_workload::GeneratedScenario;
+use dw_workload::{GeneratedScenario, ScheduledTxn};
 use std::time::Duration;
 
 pub use dw_engine::LiveError;
@@ -22,7 +22,7 @@ pub use dw_engine::LiveError;
 #[derive(Debug)]
 pub struct LiveReport {
     /// Final materialized view.
-    pub view: dw_relational::Bag,
+    pub view: Bag,
     /// Install history (delivery order is nondeterministic).
     pub installs: Vec<InstallRecord>,
     /// Policy counters.
@@ -71,7 +71,7 @@ impl NodeRunner for PolicyRunner {
 }
 
 /// A source node: the unmodified [`DataSource`] state machine.
-struct SourceRunner(DataSource);
+pub(crate) struct SourceRunner(DataSource);
 
 impl NodeRunner for SourceRunner {
     fn handle(
@@ -85,45 +85,32 @@ impl NodeRunner for SourceRunner {
     }
 }
 
-/// Run a scenario on real threads.
-///
-/// `make_policy` builds the warehouse policy from the scenario's view and
-/// the initial view contents (so callers choose SWEEP/Nested SWEEP/…).
-/// `time_scale` compresses the scenario's injection timestamps (2.0 = run
-/// twice as fast). `deadline` bounds the whole run.
-pub fn run_live(
-    scenario: &GeneratedScenario,
-    make_policy: impl FnOnce(
-        dw_relational::ViewDef,
-        dw_relational::Bag,
-    ) -> Result<Box<dyn MaintenancePolicy>, WarehouseError>,
-    time_scale: f64,
-    deadline: Duration,
-) -> Result<LiveReport, LiveError> {
-    let n = scenario.view.num_relations();
-    let refs: Vec<&dw_relational::Bag> = scenario.initial.iter().collect();
-    let initial_view =
-        dw_relational::eval_view(&scenario.view, &refs).map_err(|e| LiveError::NodeFailed {
-            what: e.to_string(),
-        })?;
-    let policy =
-        make_policy(scenario.view.clone(), initial_view).map_err(|e| LiveError::NodeFailed {
-            what: e.to_string(),
-        })?;
-
-    let mut sources = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut rel = BaseRelation::new(scenario.view.schema(i).clone());
-        rel.apply_delta(&scenario.initial[i])
-            .map_err(|e| LiveError::NodeFailed {
-                what: e.to_string(),
-            })?;
-        sources.push(SourceRunner(DataSource::new(i, scenario.view.clone(), rel)));
+/// Wrap a setup failure as a node failure.
+pub(crate) fn node_failed(e: impl std::fmt::Display) -> LiveError {
+    LiveError::NodeFailed {
+        what: e.to_string(),
     }
+}
 
-    let injections: Vec<(Time, NodeId, Message)> = scenario
-        .txns
-        .iter()
+/// One source runner per chain relation, loaded with its initial
+/// contents.
+pub(crate) fn source_runners(
+    view: &ViewDef,
+    initial: &[Bag],
+) -> Result<Vec<SourceRunner>, LiveError> {
+    (0..view.num_relations())
+        .map(|i| {
+            let mut rel = BaseRelation::new(view.schema(i).clone());
+            rel.apply_delta(&initial[i]).map_err(node_failed)?;
+            Ok(SourceRunner(DataSource::new(i, view.clone(), rel)))
+        })
+        .collect()
+}
+
+/// The transaction stream as `run_cluster` injections, one `ApplyTxn`
+/// per scheduled transaction at its source.
+pub(crate) fn injections(txns: &[ScheduledTxn]) -> Vec<(Time, NodeId, Message)> {
+    txns.iter()
         .map(|t| {
             (
                 t.at,
@@ -135,7 +122,26 @@ pub fn run_live(
                 },
             )
         })
-        .collect();
+        .collect()
+}
+
+/// Run a scenario on real threads.
+///
+/// `make_policy` builds the warehouse policy from the scenario's view and
+/// the initial view contents (so callers choose SWEEP/Nested SWEEP/…).
+/// `time_scale` compresses the scenario's injection timestamps (2.0 = run
+/// twice as fast). `deadline` bounds the whole run.
+pub fn run_live(
+    scenario: &GeneratedScenario,
+    make_policy: impl FnOnce(ViewDef, Bag) -> Result<Box<dyn MaintenancePolicy>, WarehouseError>,
+    time_scale: f64,
+    deadline: Duration,
+) -> Result<LiveReport, LiveError> {
+    let refs: Vec<&Bag> = scenario.initial.iter().collect();
+    let initial_view = dw_relational::eval_view(&scenario.view, &refs).map_err(node_failed)?;
+    let policy = make_policy(scenario.view.clone(), initial_view).map_err(node_failed)?;
+    let sources = source_runners(&scenario.view, &scenario.initial)?;
+    let injections = injections(&scenario.txns);
 
     let outcome = run_cluster(
         PolicyRunner(policy),
@@ -225,28 +231,9 @@ mod tests {
         let initial_view = eval_view(&scenario.view, &refs).unwrap();
         let policy: Box<dyn MaintenancePolicy> =
             Box::new(Sweep::new(scenario.view.clone(), initial_view).unwrap());
-        let mut sources = Vec::new();
-        for i in 0..scenario.view.num_relations() {
-            let mut rel = BaseRelation::new(scenario.view.schema(i).clone());
-            rel.apply_delta(&scenario.initial[i]).unwrap();
-            sources.push(SourceRunner(DataSource::new(i, scenario.view.clone(), rel)));
-        }
-        let mut injections: Vec<(Time, NodeId, Message)> = scenario
-            .txns
-            .iter()
-            .map(|t| {
-                (
-                    t.at,
-                    source_node(t.source),
-                    Message::ApplyTxn {
-                        rel: t.source,
-                        delta: t.delta.clone(),
-                        global: t.global,
-                    },
-                )
-            })
-            .chain(extra)
-            .collect();
+        let sources = source_runners(&scenario.view, &scenario.initial).unwrap();
+        let mut injections = injections(&scenario.txns);
+        injections.extend(extra);
         injections.sort_by_key(|(at, _, _)| *at);
         let outcome = run_cluster(
             PolicyRunner(policy),

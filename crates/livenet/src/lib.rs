@@ -16,9 +16,7 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod serve;
-pub mod sharded;
+pub mod multiview;
 
 pub use cluster::{run_live, LiveError, LiveReport};
-pub use serve::{run_live_serve, LiveServeReport};
-pub use sharded::{run_live_sharded, LiveShardedReport, LiveViewOutcome};
+pub use multiview::{run_live_multiview, LiveMultiViewReport, LiveServe, LiveViewOutcome};

@@ -36,6 +36,11 @@
 //!   never shared). The cascade rides the sharded engine's sequenced
 //!   install releases and the durability WAL replay unchanged.
 //!
+//! The flat [`MaintenanceScheduler`] and the partitioned
+//! [`ShardedScheduler`] both implement [`MultiViewScheduler`], the one
+//! face harnesses (the simulator's experiment builder, the live runtime)
+//! drive either through.
+//!
 //! The message-cost win (experiment E14): a shared sweep costs at most
 //! `2(n−1)` messages per update **regardless of how many views**
 //! reference `R_j`, where naive per-view maintenance costs `V·2(n−1)`.
@@ -56,11 +61,13 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod face;
 mod registry;
 mod scheduler;
 mod sharded;
 
 pub use dw_engine::{DurabilityConfig, EngineOptions};
+pub use face::MultiViewScheduler;
 pub use registry::{CascadeStats, MvError, ViewId, ViewRegistry};
 pub use scheduler::{MaintenanceScheduler, RecoveryStats, SchedulerMode};
 pub use sharded::{ShardStats, ShardedScheduler};

@@ -46,22 +46,24 @@ fn main() {
     .generate();
 
     // --- Maintenance and serving on one virtual clock --------------------
-    let report = ServeExperiment::new(scenario.clone())
+    let report = MultiViewExperiment::new(scenario.clone())
+        .baseline_subscriptions(true)
         .reads(reads)
         .run()
         .unwrap();
     assert!(report.quiescent);
+    let serve = report.serve.as_ref().expect("a serving run");
 
     println!(
         "{} views, {} updates, {} installs -> {} epochs published\n",
         report.views.len(),
         report.scheduler_metrics.updates_received,
         report.views.iter().map(|v| v.installs.len()).sum::<usize>(),
-        report.serve_stats.snapshots_published,
+        serve.serve_stats.snapshots_published,
     );
 
-    println!("reads (first 10 of {}):", report.reads.len());
-    for read in report.reads.iter().take(10) {
+    println!("reads (first 10 of {}):", serve.reads.len());
+    for read in serve.reads.iter().take(10) {
         let what = match &read.result {
             ReadResult::Point { multiplicity, .. } => {
                 format!("point -> multiplicity {multiplicity}")
@@ -97,7 +99,7 @@ fn main() {
 
     // --- Subscriptions replay the install log in ticket order ------------
     assert!(report.subscriptions_match_installs());
-    if let Some(sub) = report.subscriptions.first() {
+    if let Some(sub) = serve.subscriptions.first() {
         println!(
             "subscription on view {} from epoch {}: {} install deltas pushed in order",
             sub.view,

@@ -79,12 +79,11 @@ pub mod prelude {
         audit_lag_recoveries, audit_reads, oracle_expects_rejection, oracle_view_at_epoch,
         CoreError, DerivedOutcome, Experiment, LagAudit, LagEvent, LagSubscription,
         MultiViewExperiment, MultiViewReport, OracleAudit, PolicyKind, ReadOutcome, ReadResult,
-        RunReport, ServeExperiment, ServeReport, ShardedExperiment, ShardedReport,
-        SubscriptionOutcome, ViewOutcome,
+        RunReport, ServeOutcome, SubscriptionOutcome, ViewOutcome,
     };
     pub use dw_multiview::{
-        CascadeStats, MaintenanceScheduler, SchedulerMode, ShardStats, ShardedScheduler, ViewId,
-        ViewRegistry,
+        CascadeStats, MaintenanceScheduler, MultiViewScheduler, SchedulerMode, ShardStats,
+        ShardedScheduler, ViewId, ViewRegistry,
     };
     pub use dw_protocol::TransportConfig;
     pub use dw_relational::{

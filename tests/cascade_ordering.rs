@@ -64,6 +64,15 @@ fn scenario(seed: u64) -> MultiViewScenario {
     sc
 }
 
+/// A serving run with one baseline subscription per slot.
+fn serving(sc: MultiViewScenario) -> MultiViewExperiment {
+    MultiViewExperiment::new(sc).baseline_subscriptions(true)
+}
+
+fn served(report: &MultiViewReport) -> &ServeOutcome {
+    report.serve.as_ref().expect("a serving run")
+}
+
 /// V0's cascade block in the documented order: the base install at slot
 /// 0, then its children ascending by slot (hot=2, counts=3), and
 /// counts's own child depth-first (busy=4).
@@ -72,8 +81,8 @@ const V0_BLOCK: [usize; 4] = [0, 2, 3, 4];
 /// Check the publication ledger against the documented ticket order:
 /// per-slot epochs contiguous from 1, and every slot-0 install followed
 /// immediately by exactly its descendant block.
-fn assert_documented_order(report: &ServeReport, arm: &str) {
-    let log = &report.publication_log;
+fn assert_documented_order(report: &MultiViewReport, arm: &str) {
+    let log = &served(report).publication_log;
     assert!(!log.is_empty(), "{arm}: nothing published");
 
     // Per-slot epoch contiguity: the k-th publication of a slot is its
@@ -124,13 +133,17 @@ fn assert_documented_order(report: &ServeReport, arm: &str) {
 
 #[test]
 fn flat_cascade_publishes_in_documented_ticket_order() {
-    let report = ServeExperiment::new(scenario(31)).run().unwrap();
+    let report = serving(scenario(31)).run().unwrap();
     assert!(report.quiescent);
     assert!(report.derived_clean(), "derived diverged from oracle");
     assert_documented_order(&report, "flat");
     // The hub fanned every block out: each baseline subscription (base
     // and derived slots alike) replays its view's full install log.
-    assert_eq!(report.subscriptions.len(), 5, "one baseline sub per slot");
+    assert_eq!(
+        served(&report).subscriptions.len(),
+        5,
+        "one baseline sub per slot"
+    );
     assert!(report.subscriptions_match_installs());
     assert!(report.cascade.child_installs > 0, "cascade never fired");
 }
@@ -138,19 +151,17 @@ fn flat_cascade_publishes_in_documented_ticket_order() {
 #[test]
 fn sharded_sequencer_releases_the_same_ticket_order() {
     let sc = scenario(32);
-    let flat = ServeExperiment::new(sc.clone()).run().unwrap();
-    let sharded = ServeExperiment::new(sc)
-        .sharded(ShardMap::hash(2))
-        .run()
-        .unwrap();
-    assert!(sharded.sharded && sharded.quiescent);
+    let flat = serving(sc.clone()).run().unwrap();
+    let sharded = serving(sc).sharded(ShardMap::hash(2)).run().unwrap();
+    assert!(sharded.shard_stats.is_some() && sharded.quiescent);
     assert!(sharded.derived_clean());
     assert_documented_order(&sharded, "sharded");
     assert!(sharded.subscriptions_match_installs());
     // Sequenced per-shard lanes must release the exact flat order:
     // ticket order is arrival order, cascades ride each release.
     assert_eq!(
-        sharded.publication_log, flat.publication_log,
+        served(&sharded).publication_log,
+        served(&flat).publication_log,
         "sharded sequencer broke the flat ticket order"
     );
 }
@@ -159,7 +170,7 @@ fn sharded_sequencer_releases_the_same_ticket_order() {
 fn crash_recovery_replays_never_reenter_the_ledger() {
     let sc = scenario(33);
     let crash_at = sc.txns[8].at;
-    let report = ServeExperiment::new(sc.clone())
+    let report = serving(sc.clone())
         .durability(2)
         .transport_auto()
         .faults(FaultPlan::none().state_crash(WAREHOUSE_NODE, crash_at, crash_at + 2_000))
@@ -179,9 +190,12 @@ fn crash_recovery_replays_never_reenter_the_ledger() {
     );
     // Final derived bags equal the fault-free run's (restart equivalence
     // through the serving layer included).
-    let clean = ServeExperiment::new(sc).run().unwrap();
+    let clean = serving(sc).run().unwrap();
     for (a, b) in report.derived.iter().zip(clean.derived.iter()) {
         assert_eq!(a.view, b.view, "derived '{}' diverged across crash", a.name);
     }
-    assert_eq!(report.publication_log, clean.publication_log);
+    assert_eq!(
+        served(&report).publication_log,
+        served(&clean).publication_log
+    );
 }

@@ -193,7 +193,10 @@ fn sharded_cascade_matches_flat_per_epoch() {
             },
         ];
 
-        let sharded = ShardedExperiment::new(generated.clone()).run().unwrap();
+        let sharded = MultiViewExperiment::new(generated.scenario.clone())
+            .sharded(generated.map)
+            .run()
+            .unwrap();
         let flat = MultiViewExperiment::new(generated.scenario).run().unwrap();
         assert!(sharded.quiescent && flat.quiescent, "case {case}");
         assert!(sharded.derived_clean(), "case {case}: sharded oracle");

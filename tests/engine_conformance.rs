@@ -205,7 +205,8 @@ fn sharded_conforms_to_unsharded_engine() {
         }
         .generate()
         .unwrap();
-        let sharded = ShardedExperiment::new(generated.clone())
+        let sharded = MultiViewExperiment::new(generated.scenario.clone())
+            .sharded(generated.map)
             .seed(k)
             .run()
             .unwrap();

@@ -138,12 +138,13 @@ fn state_crash_runs_match_fault_free_runs() {
                 a.name
             );
         }
-        assert_eq!(clean.recovery.recoveries, 0, "case {k}");
-        crashes_fired += crashed.recovery.recoveries;
+        let recovery = crashed.recovery.expect("the flat engine reports recovery");
+        assert_eq!(clean.recovery.unwrap().recoveries, 0, "case {k}");
+        crashes_fired += recovery.recoveries;
         // Recovery accounting is self-consistent: replayed bytes only
         // exist if records were replayed.
-        if crashed.recovery.wal_bytes_replayed > 0 {
-            assert!(crashed.recovery.wal_records_replayed > 0, "case {k}");
+        if recovery.wal_bytes_replayed > 0 {
+            assert!(recovery.wal_records_replayed > 0, "case {k}");
         }
     }
     // The placements are adversarial, not decorative: the large majority
@@ -173,7 +174,7 @@ fn stale_answers_are_fenced_by_the_qid_floor() {
         for (a, b) in clean.views.iter().zip(&crashed.views) {
             assert_eq!(a.view, b.view, "case {k}: view '{}'", a.name);
         }
-        seen_stale_drop |= crashed.recovery.stale_answers_dropped > 0;
+        seen_stale_drop |= crashed.recovery.unwrap().stale_answers_dropped > 0;
     }
     assert!(
         seen_stale_drop,
@@ -210,7 +211,7 @@ fn durability_is_invisible_without_a_crash() {
                 "case {k}"
             );
         }
-        assert_eq!(durable.recovery, Default::default(), "case {k}");
+        assert_eq!(durable.recovery, Some(Default::default()), "case {k}");
         assert!(durable.checkpoints_taken >= 1, "case {k}");
         assert!(durable.wal_bytes_written > 0, "case {k}");
         assert_eq!(plain.checkpoints_taken, 0, "case {k}");
@@ -253,18 +254,21 @@ fn shard_scoped_crashes_leave_surviving_shards_sweeping() {
         let up_at = down_at + [400, 900, 1_600][(k % 3) as usize];
         let plan = FaultPlan::default().state_crash_shard(0, down_at, up_at, target);
 
-        let clean = ShardedExperiment::new(generated.clone())
+        let clean = MultiViewExperiment::new(generated.scenario.clone())
+            .sharded(generated.map.clone())
             .seed(k)
             .run()
             .unwrap();
-        let crashed = ShardedExperiment::new(generated)
+        let crashed = MultiViewExperiment::new(generated.scenario)
+            .sharded(generated.map)
             .seed(k)
             .faults(plan)
             .run()
             .unwrap();
 
         assert!(clean.quiescent && crashed.quiescent, "case {k}");
-        assert_eq!(crashed.shard_stats.shard_crashes, 1, "case {k}");
+        let stats = crashed.shard_stats.as_ref().expect("a sharded run");
+        assert_eq!(stats.shard_crashes, 1, "case {k}");
         assert_eq!(
             crashed.install_fingerprint(),
             clean.install_fingerprint(),
@@ -277,14 +281,13 @@ fn shard_scoped_crashes_leave_surviving_shards_sweeping() {
                 a.name
             );
         }
-        stale_drops += crashed.shard_stats.stale_answers_dropped;
-        reseeds += crashed.shard_stats.sweeps_reseeded;
+        stale_drops += stats.stale_answers_dropped;
+        reseeds += stats.sweeps_reseeded;
         // Survivors keep sweeping: the re-seeded lane re-issues its
         // queries at `up_at` and cannot complete before one full 2 ms
         // round trip, so any lane completion inside (up_at, up_at+2ms)
         // belongs to a *different* shard still making progress.
-        survivor_overlapped |= crashed
-            .shard_stats
+        survivor_overlapped |= stats
             .completions
             .iter()
             .any(|&(_, at)| at > up_at && at < up_at + 2_000);

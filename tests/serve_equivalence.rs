@@ -102,10 +102,20 @@ fn read_mix(k: u64, scenario: &MultiViewScenario) -> Vec<ReadOp> {
     .generate()
 }
 
+/// A serving run with one baseline subscription per view, whose stream
+/// [`check`] compares against the install log.
+fn serving(scenario: &MultiViewScenario) -> MultiViewExperiment {
+    MultiViewExperiment::new(scenario.clone()).baseline_subscriptions(true)
+}
+
+fn served(report: &MultiViewReport) -> &ServeOutcome {
+    report.serve.as_ref().expect("a serving run")
+}
+
 /// Audit a finished run: every answered read equals the oracle recompute
 /// at its pinned epoch, every verdict matches the staleness oracle, and
 /// subscription streams replay the install log.
-fn check(scenario: &MultiViewScenario, report: &ServeReport, k: u64) -> OracleAudit {
+fn check(scenario: &MultiViewScenario, report: &MultiViewReport, k: u64) -> OracleAudit {
     assert!(report.quiescent, "case {k}: run did not drain");
     let audit = audit_reads(scenario, report).unwrap();
     assert_eq!(
@@ -140,7 +150,7 @@ fn answered_reads_equal_oracle_recompute_across_seeded_schedules() {
     for k in 0..n_cases {
         let scenario = dense_scenario(k);
         let reads = read_mix(k, &scenario);
-        let mut exp = ServeExperiment::new(scenario.clone()).reads(reads).seed(k);
+        let mut exp = serving(&scenario).reads(reads).seed(k);
         if k % 3 == 2 {
             exp = exp.sharded(ShardMap::hash(2 + (k % 2) as usize));
             sharded_runs += 1;
@@ -154,10 +164,11 @@ fn answered_reads_equal_oracle_recompute_across_seeded_schedules() {
         // publishes nothing, so the exercised floor is aggregate.
         let installs: u64 = report.views.iter().map(|v| v.installs.len() as u64).sum();
         assert_eq!(
-            report.serve_stats.snapshots_published, installs,
+            served(&report).serve_stats.snapshots_published,
+            installs,
             "case {k}: installs and published snapshots diverged"
         );
-        snapshots += report.serve_stats.snapshots_published;
+        snapshots += served(&report).serve_stats.snapshots_published;
     }
     assert!(answered > n_cases, "only {answered} reads answered");
     assert!(
@@ -205,7 +216,7 @@ fn reads_during_crash_recovery_answer_from_last_committed_epoch() {
             }
         }
         reads.sort_by_key(|op| (op.at, op.reader));
-        let report = ServeExperiment::new(scenario.clone())
+        let report = serving(&scenario)
             .reads(reads)
             .seed(k)
             .transport_auto()
@@ -226,7 +237,8 @@ fn reads_during_crash_recovery_answer_from_last_committed_epoch() {
 /// Field-wise byte-equality of two runs' read outcomes. (`Bag` wraps a
 /// HashMap, so comparing Debug strings would be iteration-order noise;
 /// the comparison has to be structural.)
-fn assert_identical_answers(a: &ServeReport, b: &ServeReport, k: u64, arm: &str) {
+fn assert_identical_answers(a: &MultiViewReport, b: &MultiViewReport, k: u64, arm: &str) {
+    let (a, b) = (served(a), served(b));
     assert_eq!(a.reads.len(), b.reads.len(), "case {k} ({arm})");
     for (x, y) in a.reads.iter().zip(&b.reads) {
         assert_eq!(x.op, y.op, "case {k} ({arm}): schedules diverged");
@@ -295,9 +307,7 @@ fn index_and_cache_arms_answer_byte_identically_across_schedules() {
         };
         let reads = read_mix(k, &scenario);
         let build = |scenario: &MultiViewScenario, reads: &[ReadOp]| {
-            let mut exp = ServeExperiment::new(scenario.clone())
-                .reads(reads.to_vec())
-                .seed(k);
+            let mut exp = serving(scenario).reads(reads.to_vec()).seed(k);
             if crashed {
                 let anchor = scenario.txns[(k % scenario.txns.len() as u64) as usize].at;
                 exp = exp
@@ -316,11 +326,12 @@ fn index_and_cache_arms_answer_byte_identically_across_schedules() {
         assert_identical_answers(&indexed, &linear, k, "index on/off");
         assert_identical_answers(&indexed, &cached, k, "cache on/off");
         assert_eq!(
-            linear.serve_stats.point_index_builds, 0,
+            served(&linear).serve_stats.point_index_builds,
+            0,
             "case {k}: the off arm built an index"
         );
-        index_builds += indexed.serve_stats.point_index_builds;
-        cache_hits += cached.serve_stats.cache_hits;
+        index_builds += served(&indexed).serve_stats.point_index_builds;
+        cache_hits += served(&cached).serve_stats.cache_hits;
         crash_runs += u64::from(crashed);
     }
     assert!(index_builds > 0, "no schedule ever built a point index");
@@ -344,7 +355,7 @@ fn lagged_subscribers_recover_equivalent_streams_across_schedules() {
             ..ReadMixConfig::laggy_subscribers(3, 12, SEED_BASE + k)
         }
         .generate();
-        let report = ServeExperiment::new(scenario.clone())
+        let report = serving(&scenario)
             .reads(reads)
             .seed(k)
             .bounded_subscriptions(1 + (k % 2) as usize)
@@ -354,7 +365,8 @@ fn lagged_subscribers_recover_equivalent_streams_across_schedules() {
         let audit = audit_lag_recoveries(&scenario, &report).unwrap();
         assert!(audit.clean(), "case {k}: {audit:?}");
         assert_eq!(
-            report.serve_stats.subs_lagged, audit.lag_events,
+            served(&report).serve_stats.subs_lagged,
+            audit.lag_events,
             "case {k}: store lag counter disagrees with the event history"
         );
         lag_events += audit.lag_events;
@@ -393,7 +405,7 @@ fn reads_during_shard_crash_recovery_answer_from_committed_epochs() {
             });
         }
         reads.sort_by_key(|op| (op.at, op.reader));
-        let report = ServeExperiment::new(scenario.clone())
+        let report = serving(&scenario)
             .sharded(ShardMap::hash(shards))
             .reads(reads)
             .seed(k)
