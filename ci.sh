@@ -123,7 +123,9 @@ stage_readme_crates() {
 # queue's batching internals. Likewise, the snapshot store is dw-serve's
 # private machinery: every other crate serves reads through ReadFrontend
 # and feeds installs through the publisher handle, never by constructing
-# or reaching into SnapshotStore directly.
+# or reaching into SnapshotStore directly. And the source query server
+# answers every sweep query — plain, σ-pushed or shard-scoped — from its
+# maintained join index, never by rehashing a (filtered) relation.
 stage_engine_boundary() {
   local hits ok=0
   hits=$(grep -rn "merged_from_source\|take_from_source" crates/*/src 2>/dev/null |
@@ -145,6 +147,12 @@ stage_engine_boundary() {
   if [[ -n "$hits" ]]; then
     echo "$hits"
     echo "FAIL: aggregate group accumulators are dw-relational internals — fold deltas through AggregateState, never GroupState" >&2
+    ok=1
+  fi
+  hits=$(grep -n "extend_partial_observed\|ShardedRelation\|bag()\.filter(" crates/source/src/node.rs || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: the source query server answers every sweep query by probing its maintained JoinIndex — never by rehashing or copying its relation" >&2
     ok=1
   fi
   hits=$(grep -rn "bag)\.clone()\|\.bag\.clone()" crates/serve/src 2>/dev/null |

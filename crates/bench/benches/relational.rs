@@ -1,12 +1,14 @@
 //! Micro-benchmarks of the relational substrate: the hash-join extension
 //! step (`ComputeJoin` — the hot loop of every sweep), delta merging, full
-//! view evaluation, projection/finalize, and maintained join indexes vs.
-//! per-query rehashing. Run with `cargo bench --bench relational`.
+//! view evaluation, projection/finalize, and a source's maintained join
+//! index vs. per-query rehashing — plain, σ-pushed and shard-scoped. Run
+//! with `cargo bench -p dw-bench --bench relational`.
 
 use dw_bench::Bench;
+use dw_obs::Obs;
 use dw_relational::{
-    extend_partial, extend_partial_indexed, tup, Bag, JoinIndex, JoinSide, PartialDelta, Schema,
-    ViewDefBuilder,
+    extend_partial, tup, Bag, CmpOp, JoinIndex, JoinSide, PartialDelta, Predicate, Schema,
+    ShardMap, ShardScope, Tuple, Value, ViewDefBuilder,
 };
 use dw_rng::Rng64;
 
@@ -72,22 +74,52 @@ fn bench_finalize(b: &Bench) {
     b.run("finalize_project_10k", || pd.finalize(&view).unwrap());
 }
 
+/// A query's filter on the source's join matches.
+type Keep<'a> = &'a dyn Fn(&Tuple) -> bool;
+
 fn bench_indexed_vs_plain(b: &Bench) {
     for rows in [1_000usize, 10_000] {
         let mut rng = Rng64::new(5);
         let view = chain_view(2);
         let relation = random_bag(&mut rng, rows, (rows / 4).max(1) as i64);
-        // Index R2 on its join key (R2.A, position 1 of [K,A,B]).
-        let mut index = JoinIndex::new(vec![1]);
-        index.apply_delta(&relation);
+        // R2's maintained index, as a data source keeps it.
+        let index = JoinIndex::new(&view, 1, &relation);
         let delta = random_bag(&mut rng, 8, (rows / 4).max(1) as i64);
         let pd = PartialDelta::seed(&view, 0, &delta).unwrap();
         b.run(&format!("source_query/rehash_per_query/{rows}"), || {
             extend_partial(&view, &pd, &relation, JoinSide::Right).unwrap()
         });
         b.run(&format!("source_query/maintained_index/{rows}"), || {
-            extend_partial_indexed(&view, &pd, &index, JoinSide::Right).unwrap()
+            index
+                .extend(&view, &pd, JoinSide::Right, |_| true, &Obs::off())
+                .unwrap()
         });
+        // Filtered queries: the rehash arm copies the qualifying tuples
+        // and joins the copy; the index arm drops failing matches.
+        let pred = Predicate::Cmp {
+            attr: 2,
+            op: CmpOp::Ge,
+            value: Value::Int((rows / 8) as i64),
+        };
+        let scope = ShardScope {
+            map: ShardMap::hash(4),
+            mask: 0b0011,
+        };
+        let filters: [(&str, Keep); 2] = [
+            ("pushed", &|t| pred.eval(t)),
+            ("scoped", &|t| scope.admits(t)),
+        ];
+        for (name, keep) in filters {
+            b.run(&format!("source_query/{name}_rehash/{rows}"), || {
+                let filtered = relation.filter(keep);
+                extend_partial(&view, &pd, &filtered, JoinSide::Right).unwrap()
+            });
+            b.run(&format!("source_query/{name}_index/{rows}"), || {
+                index
+                    .extend(&view, &pd, JoinSide::Right, keep, &Obs::off())
+                    .unwrap()
+            });
+        }
     }
 }
 

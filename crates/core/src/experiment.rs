@@ -131,7 +131,6 @@ pub struct Experiment {
     record_snapshots: bool,
     trace: bool,
     event_cap: u64,
-    indexed_sources: bool,
     faults: FaultPlan,
     transport: Option<TransportConfig>,
     obs: dw_obs::Obs,
@@ -151,7 +150,6 @@ impl Experiment {
             record_snapshots: true,
             trace: false,
             event_cap: 10_000_000,
-            indexed_sources: false,
             faults: FaultPlan::default(),
             transport: None,
             obs: dw_obs::Obs::off(),
@@ -205,15 +203,6 @@ impl Experiment {
     /// Record a full network trace in the report.
     pub fn trace(mut self, on: bool) -> Self {
         self.trace = on;
-        self
-    }
-
-    /// Answer queries through incrementally maintained join indexes at the
-    /// sources instead of per-query hashing (requires selection-free
-    /// relations; behaviourally identical, measured in the `policies`
-    /// micro-bench).
-    pub fn indexed_sources(mut self, on: bool) -> Self {
-        self.indexed_sources = on;
         self
     }
 
@@ -313,11 +302,7 @@ impl Experiment {
             for i in 0..n {
                 let mut r = dw_relational::BaseRelation::new(view_def.schema(i).clone());
                 r.apply_delta(&scenario.initial[i])?;
-                let mut src = if self.indexed_sources {
-                    DataSource::with_indexes(i, view_def.clone(), r)?
-                } else {
-                    DataSource::new(i, view_def.clone(), r)
-                };
+                let mut src = DataSource::new(i, view_def.clone(), r);
                 src.set_observer(self.obs.clone());
                 sources.push(src);
             }
@@ -563,21 +548,6 @@ mod tests {
         assert!(report.metrics.max_recursion_depth <= 4);
         let level = report.consistency.unwrap().level;
         assert!(level >= ConsistencyLevel::Strong, "got {level}");
-    }
-
-    #[test]
-    fn indexed_sources_behave_identically() {
-        let plain = Experiment::new(quick(25, 33)).run().unwrap();
-        let indexed = Experiment::new(quick(25, 33))
-            .indexed_sources(true)
-            .run()
-            .unwrap();
-        assert_eq!(plain.view, indexed.view);
-        assert_eq!(plain.events, indexed.events);
-        assert_eq!(
-            indexed.consistency.unwrap().level,
-            ConsistencyLevel::Complete
-        );
     }
 
     #[test]

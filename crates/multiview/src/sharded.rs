@@ -17,10 +17,10 @@
 //! individually-impure resident tuple (in the initial data, or installed
 //! later by an escalated sweep) unions the bands it straddles; a sweep
 //! then runs per *group*, scoping its queries to the group's band mask
-//! (sources answer from the matching slices plus the mixed slice, see
-//! [`dw_relational::ShardedRelation`]). An update whose delta is not
-//! pure in a single group **escalates** to a global sweep that runs
-//! alone — the classic SWEEP, queue fence and all.
+//! (sources keep the join matches that are impure or pure in a scoped
+//! band, see [`dw_relational::ShardScope::admits`]). An update whose
+//! delta is not pure in a single group **escalates** to a global sweep
+//! that runs alone — the classic SWEEP, queue fence and all.
 //!
 //! ## One queue, full compensation
 //!

@@ -22,10 +22,8 @@
 
 use crate::bag::Bag;
 use crate::error::RelationalError;
-use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::index::JoinIndex;
 use crate::view::ViewDef;
-use std::collections::HashMap;
 
 /// Which side of the current range a neighbor relation is joined on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,10 +144,11 @@ pub fn extend_partial(
     extend_partial_observed(view, partial, neighbor, side, &dw_obs::Obs::off())
 }
 
-/// [`extend_partial`] with instrumentation: records the hash-join's build
-/// input (`join.build_rows`), probe input (`join.probe_rows`), and output
-/// (`join.out_rows`) sizes into the recorder behind `obs`. With
-/// `Obs::off()` this *is* `extend_partial`.
+/// [`extend_partial`] with instrumentation: builds a transient
+/// [`JoinIndex`] over `neighbor` (recording its size as
+/// `join.build_rows`) and probes it with [`JoinIndex::extend`], which
+/// records `join.probe_rows` and `join.out_rows`. With `Obs::off()` this
+/// *is* `extend_partial`.
 pub fn extend_partial_observed(
     view: &ViewDef,
     partial: &PartialDelta,
@@ -157,99 +156,11 @@ pub fn extend_partial_observed(
     side: JoinSide,
     obs: &dw_obs::Obs,
 ) -> Result<PartialDelta, RelationalError> {
-    let (nbr_idx, cond_idx) = match side {
-        JoinSide::Left => {
-            if partial.lo == 0 {
-                return Err(RelationalError::BadRange {
-                    reason: "no relation to the left of the range".into(),
-                });
-            }
-            (partial.lo - 1, partial.lo - 1)
-        }
-        JoinSide::Right => {
-            if partial.hi + 1 >= view.num_relations() {
-                return Err(RelationalError::BadRange {
-                    reason: "no relation to the right of the range".into(),
-                });
-            }
-            (partial.hi + 1, partial.hi)
-        }
-    };
-    let nbr_schema = view.schema(nbr_idx);
-    let nbr_select = view.local_select(nbr_idx);
-    let cond = view.join_cond(cond_idx);
-
-    // Positions of the join attributes inside the composite partial tuple.
-    // JoinCond pairs are (attr in R_k, attr in R_{k+1}) where k = cond_idx.
-    // Left side: neighbor is R_k, partial starts at R_{k+1} (offset 0).
-    // Right side: partial ends with R_k (offset width - arity(R_k)),
-    //             neighbor is R_{k+1}.
-    let (nbr_keys, part_keys): (Vec<usize>, Vec<usize>) = match side {
-        JoinSide::Left => cond
-            .pairs
-            .iter()
-            .map(|&(l, r)| (l, r)) // neighbor attr, partial attr (R_lo at offset 0)
-            .unzip(),
-        JoinSide::Right => {
-            let last_off = partial.width(view) - view.schema(partial.hi).arity();
-            cond.pairs
-                .iter()
-                .map(|&(l, r)| (r, last_off + l)) // neighbor attr, partial attr
-                .unzip()
-        }
-    };
-
-    // Hash the (selected) neighbor on its join key, then probe with the
-    // partial delta. Neighbor tuples must match the neighbor schema arity.
-    let mut table: HashMap<Vec<Value>, Vec<(&Tuple, i64)>> = HashMap::new();
-    let mut built = 0u64;
-    for (t, c) in neighbor.iter() {
-        if t.arity() != nbr_schema.arity() {
-            return Err(RelationalError::ArityMismatch {
-                context: "extend_partial neighbor",
-                expected: nbr_schema.arity(),
-                found: t.arity(),
-            });
-        }
-        if !nbr_select.eval(t) {
-            continue;
-        }
-        let key: Vec<Value> = nbr_keys.iter().map(|&k| t.at(k).clone()).collect();
-        table.entry(key).or_default().push((t, c));
-        built += 1;
-    }
-
-    let mut out = Bag::new();
-    for (pt, pc) in partial.bag.iter() {
-        let key: Vec<Value> = part_keys.iter().map(|&k| pt.at(k).clone()).collect();
-        if let Some(matches) = table.get(&key) {
-            for &(nt, nc) in matches {
-                let joined = match side {
-                    JoinSide::Left => nt.concat(pt),
-                    JoinSide::Right => pt.concat(nt),
-                };
-                out.add(joined, pc * nc);
-            }
-        }
-    }
-
+    let table = JoinIndex::build(view, partial, side, neighbor)?;
     if obs.enabled() {
-        obs.observe("join.build_rows", built);
-        obs.observe("join.probe_rows", partial.bag.distinct_len() as u64);
-        obs.observe("join.out_rows", out.distinct_len() as u64);
+        obs.observe("join.build_rows", table.len() as u64);
     }
-
-    Ok(PartialDelta {
-        lo: match side {
-            JoinSide::Left => nbr_idx,
-            JoinSide::Right => partial.lo,
-        },
-        hi: match side {
-            JoinSide::Left => partial.hi,
-            JoinSide::Right => nbr_idx,
-        },
-        bag: out,
-    })
+    table.extend(view, partial, side, |_| true, obs)
 }
 
 /// Fully evaluate the view over a snapshot of all base-relation bags

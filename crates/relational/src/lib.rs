@@ -48,12 +48,12 @@ pub use bag::Bag;
 pub use delta::DeltaRelation;
 pub use error::RelationalError;
 pub use eval::{eval_view, extend_partial, extend_partial_observed, JoinSide, PartialDelta};
-pub use index::{extend_partial_indexed, JoinIndex};
+pub use index::JoinIndex;
 pub use key::KeySpec;
 pub use predicate::{CmpOp, Predicate};
 pub use relation::BaseRelation;
 pub use schema::Schema;
-pub use shard::{DeltaClass, ShardMap, ShardScope, ShardedRelation};
+pub use shard::{DeltaClass, ShardMap, ShardScope};
 pub use sql::parse_view;
 pub use tuple::Tuple;
 pub use value::Value;

@@ -14,13 +14,11 @@
 //!   one serialization group so a sweep's partial provably stays inside
 //!   the group's bands.
 //!
-//! [`ShardedRelation`] is the matching *source-side* storage: one bag
-//! slice per shard for pure tuples plus a `mixed` slice for impure ones,
-//! maintained incrementally under deltas. A shard-scoped sweep query
-//! joins against the union of the in-scope slices plus the mixed slice —
-//! by purity, every tuple the full relation could have contributed is in
-//! that union, so a scoped answer equals the full-scan answer restricted
-//! to what can actually join.
+//! On the source side, a shard-scoped sweep query keeps a join match only
+//! when it is impure or pure in an in-scope shard — by purity, every tuple
+//! the full relation could have contributed is among those, so a scoped
+//! answer equals the full-scan answer restricted to what can actually
+//! join.
 
 use crate::bag::Bag;
 use crate::tuple::Tuple;
@@ -67,20 +65,6 @@ pub enum DeltaClass {
     },
 }
 
-fn mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29)
-}
-
-fn value_hash(v: &Value) -> u64 {
-    match v {
-        Value::Null => mix(0xA1, 0),
-        Value::Bool(b) => mix(0xB2, u64::from(*b)),
-        Value::Int(i) => mix(0xC3, *i as u64),
-        Value::Float(f) => mix(0xD4, f.get().to_bits()),
-        Value::Str(s) => s.as_bytes().iter().fold(0xE5, |h, &b| mix(h, u64::from(b))),
-    }
-}
-
 impl ShardMap {
     /// Hash partitioner over `shards` shards. Panics unless
     /// `1 <= shards <= 64`.
@@ -117,10 +101,10 @@ impl ShardMap {
     /// The shard one value maps to.
     pub fn shard_of_value(&self, v: &Value) -> usize {
         match self {
-            ShardMap::Hash { shards } => (value_hash(v) % *shards as u64) as usize,
+            ShardMap::Hash { shards } => (v.stable_hash() % *shards as u64) as usize,
             ShardMap::Range { width, shards } => match v {
                 Value::Int(i) => i.div_euclid(*width).clamp(0, *shards as i64 - 1) as usize,
-                other => (value_hash(other) % *shards as u64) as usize,
+                other => (other.stable_hash() % *shards as u64) as usize,
             },
         }
     }
@@ -167,62 +151,11 @@ impl ShardMap {
     }
 }
 
-/// A base relation partitioned by a [`ShardMap`]: one slice of pure
-/// tuples per shard plus a `mixed` slice for impure tuples.
-#[derive(Clone, Debug)]
-pub struct ShardedRelation {
-    map: ShardMap,
-    slices: Vec<Bag>,
-    mixed: Bag,
-}
-
-impl ShardedRelation {
-    /// Partition `bag` under `map`.
-    pub fn new(map: ShardMap, bag: &Bag) -> ShardedRelation {
-        let mut sharded = ShardedRelation {
-            slices: vec![Bag::new(); map.shards()],
-            mixed: Bag::new(),
-            map,
-        };
-        sharded.apply_delta(bag);
-        sharded
-    }
-
-    /// The map this relation is partitioned under.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// Route a signed delta into the slices.
-    pub fn apply_delta(&mut self, delta: &Bag) {
-        for (t, c) in delta.iter() {
-            match self.map.shard_of_tuple(t) {
-                Some(s) => self.slices[s].add(t.clone(), c),
-                None => self.mixed.add(t.clone(), c),
-            }
-        }
-    }
-
-    /// The union of the slices for every shard in `mask`, plus the mixed
-    /// slice (an impure tuple may join any in-scope partial; out-of-scope
-    /// impure tuples join nothing, so including them is harmless and
-    /// keeps the union independent of group bookkeeping).
-    pub fn scoped(&self, mask: u64) -> Bag {
-        let mut out = self.mixed.clone();
-        for (s, slice) in self.slices.iter().enumerate() {
-            if mask & (1u64 << s) != 0 {
-                out.merge(slice);
-            }
-        }
-        out
-    }
-}
-
-/// The shard scope a sweep query runs under: which slices of each base
-/// relation the sources should join against.
+/// The shard scope a sweep query runs under: which tuples of each base
+/// relation the sources may join.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardScope {
-    /// The partitioner (sources slice their relation under it).
+    /// The partitioner the scope's shards are drawn from.
     pub map: ShardMap,
     /// Bitmask of the shards in scope.
     pub mask: u64,
@@ -232,6 +165,15 @@ impl ShardScope {
     /// Modeled wire size: the map descriptor plus the mask.
     pub fn size_bytes(&self) -> usize {
         24
+    }
+
+    /// May `t` join under this scope? Impure tuples always may (they can
+    /// bridge into any in-scope partial); pure ones only in an in-scope
+    /// shard.
+    pub fn admits(&self, t: &Tuple) -> bool {
+        self.map
+            .shard_of_tuple(t)
+            .is_none_or(|s| self.mask & (1u64 << s) != 0)
     }
 }
 
@@ -307,27 +249,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_relation_slices_and_scopes() {
+    fn scope_admits_impure_and_in_scope_pure_tuples() {
         let m = ShardMap::range(10, 2);
-        let bag = Bag::from_tuples([tup![1, 2], tup![11, 12], tup![1, 12]]);
-        let mut sr = ShardedRelation::new(m, &bag);
-        // Scoping to shard 0 sees its pure slice plus the mixed tuple.
-        assert_eq!(sr.scoped(0b01), Bag::from_tuples([tup![1, 2], tup![1, 12]]));
-        assert_eq!(
-            sr.scoped(0b10),
-            Bag::from_tuples([tup![11, 12], tup![1, 12]])
+        let scope = |mask| ShardScope {
+            map: m.clone(),
+            mask,
+        };
+        let (pure0, pure1, mixed) = (tup![1, 2], tup![11, 12], tup![1, 12]);
+        assert!(scope(0b01).admits(&pure0) && scope(0b01).admits(&mixed));
+        assert!(!scope(0b01).admits(&pure1));
+        assert!(scope(0b10).admits(&pure1) && !scope(0b10).admits(&pure0));
+        assert!(
+            scope(0b00).admits(&mixed),
+            "impure tuples are never dropped"
         );
-        assert_eq!(sr.scoped(0b11), bag);
-        // Deltas route incrementally, deletes included.
-        sr.apply_delta(&Bag::from_pairs([(tup![1, 2], -1), (tup![15, 16], 1)]));
-        assert_eq!(
-            sr.scoped(0b01),
-            Bag::from_tuples([tup![1, 12]]),
-            "deleted pure tuple left its slice"
-        );
-        assert_eq!(
-            sr.scoped(0b10),
-            Bag::from_tuples([tup![11, 12], tup![15, 16], tup![1, 12]])
-        );
+        assert!([&pure0, &pure1, &mixed]
+            .iter()
+            .all(|t| scope(m.full_mask()).admits(t)));
     }
 }

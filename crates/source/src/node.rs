@@ -2,10 +2,7 @@
 
 use dw_obs::Obs;
 use dw_protocol::{source_node, Message, SourceIndex, SourceUpdate, UpdateId, WAREHOUSE_NODE};
-use dw_relational::{
-    extend_partial_indexed, extend_partial_observed, BaseRelation, JoinIndex, Predicate,
-    RelationalError, ShardedRelation, ViewDef,
-};
+use dw_relational::{BaseRelation, JoinIndex, RelationalError, ViewDef};
 use dw_simnet::{NetHandle, NodeId};
 use std::fmt;
 
@@ -67,9 +64,10 @@ pub struct DataSource {
     relation: BaseRelation,
     next_seq: u64,
     txns_applied: u64,
-    /// Incrementally maintained join indexes (left-neighbor key,
-    /// right-neighbor key), when enabled.
-    indexes: Option<SourceIndexes>,
+    /// The relation's join index — the tuples passing its local
+    /// selection, hashed on each join side — maintained under every
+    /// transaction. Every sweep query probes it.
+    join_index: JoinIndex,
     /// Highest sweep epoch seen on any query. A warehouse state-crash
     /// recovery bumps the epoch of every query it issues; a query from
     /// an *older* epoch belongs to a sweep the warehouse already
@@ -81,111 +79,32 @@ pub struct DataSource {
     /// Stale-epoch queries dropped (test/inspection hook; also counted
     /// on `source.stale_epoch_dropped`).
     stale_queries_dropped: u64,
-    /// Shard slices of the relation, built lazily from the first
-    /// shard-scoped query's [`dw_relational::ShardMap`] and maintained
-    /// incrementally under every subsequent transaction. `None` until a
-    /// sharded warehouse actually scopes a query here — unsharded runs
-    /// never pay for the partitioning.
-    shards: Option<ShardedRelation>,
     /// Observability handle (no-op unless a recorder is attached).
     obs: Obs,
 }
 
-/// The two join indexes a chain source can be probed through: one for
-/// queries extending a partial *rightward into* this relation (keyed on
-/// this relation's side of the left join condition) and one for leftward
-/// extension.
-struct SourceIndexes {
-    /// Serves `JoinSide::Right` extensions (this relation is the right
-    /// neighbor); `None` when this is the leftmost relation.
-    as_right_neighbor: Option<JoinIndex>,
-    /// Serves `JoinSide::Left` extensions; `None` when rightmost.
-    as_left_neighbor: Option<JoinIndex>,
-}
-
 impl DataSource {
-    /// Create source `index` with its initial relation contents.
+    /// Create source `index` with its initial relation contents, and
+    /// build the relation's join index.
     pub fn new(index: SourceIndex, view: ViewDef, relation: BaseRelation) -> Self {
         DataSource {
+            join_index: JoinIndex::new(&view, index, relation.bag()),
             index,
             view,
             relation,
             next_seq: 0,
             txns_applied: 0,
-            indexes: None,
             max_epoch_seen: 0,
             stale_queries_dropped: 0,
-            shards: None,
             obs: Obs::off(),
         }
     }
 
-    /// Attach an observability recorder: per-query join build/probe sizes
-    /// are recorded when answering sweep queries. `Obs::off()` detaches.
+    /// Attach an observability recorder: per-query join probe and output
+    /// sizes are recorded when answering sweep queries. `Obs::off()`
+    /// detaches.
     pub fn set_observer(&mut self, obs: Obs) {
         self.obs = obs;
-    }
-
-    /// Create with maintained join indexes: queries are answered through
-    /// incrementally maintained hash indexes instead of re-hashing the
-    /// relation per request. Requires the relation to carry no pushed-down
-    /// local selection (the general path handles those).
-    pub fn with_indexes(
-        index: SourceIndex,
-        view: ViewDef,
-        relation: BaseRelation,
-    ) -> Result<Self, RelationalError> {
-        if view.local_select(index) != &Predicate::True {
-            return Err(RelationalError::BadRange {
-                reason: format!(
-                    "indexed source {} would bypass its local selection",
-                    view.schema(index).name()
-                ),
-            });
-        }
-        let as_right_neighbor = (index > 0).then(|| {
-            // Join condition between (index-1, index): our side is `r`.
-            let keys: Vec<usize> = view
-                .join_cond(index - 1)
-                .pairs
-                .iter()
-                .map(|&(_, r)| r)
-                .collect();
-            let mut ix = JoinIndex::new(keys);
-            ix.apply_delta(relation.bag());
-            ix
-        });
-        let as_left_neighbor = (index + 1 < view.num_relations()).then(|| {
-            let keys: Vec<usize> = view
-                .join_cond(index)
-                .pairs
-                .iter()
-                .map(|&(l, _)| l)
-                .collect();
-            let mut ix = JoinIndex::new(keys);
-            ix.apply_delta(relation.bag());
-            ix
-        });
-        Ok(DataSource {
-            index,
-            view,
-            relation,
-            next_seq: 0,
-            txns_applied: 0,
-            indexes: Some(SourceIndexes {
-                as_right_neighbor,
-                as_left_neighbor,
-            }),
-            max_epoch_seen: 0,
-            stale_queries_dropped: 0,
-            shards: None,
-            obs: Obs::off(),
-        })
-    }
-
-    /// Are maintained join indexes active?
-    pub fn is_indexed(&self) -> bool {
-        self.indexes.is_some()
     }
 
     /// Chain position of this source.
@@ -230,17 +149,7 @@ impl DataSource {
                     });
                 }
                 self.relation.apply_delta(&delta)?;
-                if let Some(sh) = self.shards.as_mut() {
-                    sh.apply_delta(&delta);
-                }
-                if let Some(ix) = self.indexes.as_mut() {
-                    if let Some(i) = ix.as_right_neighbor.as_mut() {
-                        i.apply_delta(&delta);
-                    }
-                    if let Some(i) = ix.as_left_neighbor.as_mut() {
-                        i.apply_delta(&delta);
-                    }
-                }
+                self.join_index.apply_delta(&delta);
                 self.txns_applied += 1;
                 let id = UpdateId {
                     source: self.index,
@@ -266,54 +175,31 @@ impl DataSource {
                     return Ok(());
                 }
                 self.max_epoch_seen = q.epoch;
-                let widened = if let Some(scope) = &q.scope {
-                    // Shard-scoped sweep: join only the slices of the
-                    // in-scope shards (plus impure tuples, which may
-                    // join any partial). The slices are built lazily
-                    // from the query-carried map and maintained under
-                    // every later transaction; a map change (a
-                    // repartitioned warehouse) rebuilds them.
-                    let rebuild = self.shards.as_ref().is_none_or(|sh| sh.map() != &scope.map);
-                    if rebuild {
-                        self.shards =
-                            Some(ShardedRelation::new(scope.map.clone(), self.relation.bag()));
-                    }
-                    let sliced = self.shards.as_ref().unwrap().scoped(scope.mask);
-                    let full = self.relation.bag().distinct_len();
-                    self.obs.add(
-                        "source.scope_filtered",
-                        (full - sliced.distinct_len()) as u64,
-                    );
-                    self.obs.add("source.scoped_queries", 1);
-                    extend_partial_observed(&self.view, &q.partial, &sliced, q.side, &self.obs)?
-                } else if let Some(pred) = &q.pred {
-                    // Pushed-down σ: restrict the local relation to the
-                    // qualifying tuples before joining, so only they
-                    // travel back. The maintained indexes cover the
-                    // *unfiltered* relation, so a pushed query always
-                    // takes the scan path.
-                    let full = self.relation.bag();
-                    let filtered = full.filter(|t| pred.eval(t));
-                    let dropped = full.distinct_len() - filtered.distinct_len();
-                    self.obs.add("source.pushdown_filtered", dropped as u64);
-                    extend_partial_observed(&self.view, &q.partial, &filtered, q.side, &self.obs)?
-                } else {
-                    // Use the maintained index when one serves this side.
-                    let chosen = self.indexes.as_ref().and_then(|ix| match q.side {
-                        dw_relational::JoinSide::Right => ix.as_right_neighbor.as_ref(),
-                        dw_relational::JoinSide::Left => ix.as_left_neighbor.as_ref(),
-                    });
-                    match chosen {
-                        Some(ix) => extend_partial_indexed(&self.view, &q.partial, ix, q.side)?,
-                        None => extend_partial_observed(
-                            &self.view,
-                            &q.partial,
-                            self.relation.bag(),
-                            q.side,
-                            &self.obs,
-                        )?,
+                // Probe the index, then drop the matches a shard scope
+                // (impure tuples always stay) or a pushed-down σ rules out,
+                // so only qualifying tuples travel back.
+                let (mut scope_dropped, mut pred_dropped) = (0u64, 0u64);
+                let keep = |nt: &dw_relational::Tuple| {
+                    if !q.scope.as_ref().is_none_or(|sc| sc.admits(nt)) {
+                        scope_dropped += 1;
+                        false
+                    } else if !q.pred.as_ref().is_none_or(|p| p.eval(nt)) {
+                        pred_dropped += 1;
+                        false
+                    } else {
+                        true
                     }
                 };
+                let widened = self
+                    .join_index
+                    .extend(&self.view, &q.partial, q.side, keep, &self.obs)?;
+                if q.scope.is_some() {
+                    self.obs.add("source.scope_filtered", scope_dropped);
+                    self.obs.add("source.scoped_queries", 1);
+                }
+                if q.pred.is_some() {
+                    self.obs.add("source.pushdown_filtered", pred_dropped);
+                }
                 self.obs.add("source.queries_served", 1);
                 self.obs
                     .observe("source.answer_rows", widened.bag.distinct_len() as u64);
@@ -495,10 +381,9 @@ mod tests {
         let mut src = source1(); // R2 = {(3,7), (4,8)}
         let (obs, rec) = dw_obs::Obs::trace();
         src.set_observer(obs);
-        // Range map with width 4: (3,7) straddles shards 0/1 (mixed
-        // slice), (4,8) is pure in shard 1. Scoping to shard 0 keeps the
-        // mixed tuple — the join partner — and drops the pure shard-1
-        // tuple.
+        // Range map with width 4: (3,7) straddles shards 0/1 (impure),
+        // (4,8) is pure in shard 1. Scoping to shard 0 keeps the impure
+        // match of (1,3) and drops (2,4)'s pure shard-1 match.
         let scope = ShardScope {
             map: ShardMap::range(4, 2),
             mask: 0b01,
@@ -508,7 +393,7 @@ mod tests {
             partial: PartialDelta {
                 lo: 0,
                 hi: 0,
-                bag: Bag::from_tuples([tup![1, 3]]),
+                bag: Bag::from_tuples([tup![1, 3], tup![2, 4]]),
             },
             side: JoinSide::Right,
             batch: 1,
@@ -529,8 +414,8 @@ mod tests {
             assert_eq!(rec.counter("source.scoped_queries"), 1);
             assert_eq!(rec.counter("source.scope_filtered"), 1);
         }
-        // The lazily built slices are maintained under later txns: a new
-        // pure shard-0 tuple (1,2) must show up in shard 0's scope.
+        // The index is maintained under later txns: a new pure shard-0
+        // tuple (3,2) must show up in shard 0's scope.
         src.handle(
             ENV,
             Message::ApplyTxn {
@@ -663,7 +548,7 @@ mod tests {
 mod indexed_tests {
     use super::*;
     use dw_protocol::SweepQuery;
-    use dw_relational::{tup, Bag, JoinSide, PartialDelta, Schema, ViewDefBuilder};
+    use dw_relational::{extend_partial, tup, Bag, JoinSide, PartialDelta, Schema, ViewDefBuilder};
     use dw_simnet::{Network, ENV};
 
     fn view3() -> ViewDef {
@@ -677,16 +562,24 @@ mod indexed_tests {
             .unwrap()
     }
 
-    fn mid_source(indexed: bool) -> DataSource {
+    fn mid_source() -> DataSource {
         let rel = BaseRelation::from_tuples(
             Schema::new("R2", ["C", "D"]).unwrap(),
             [tup![3, 5], tup![3, 7], tup![4, 5]],
         )
         .unwrap();
-        if indexed {
-            DataSource::with_indexes(1, view3(), rel).unwrap()
-        } else {
-            DataSource::new(1, view3(), rel)
+        DataSource::new(1, view3(), rel)
+    }
+
+    fn query(qid: u64, lo: usize, bag: Bag, side: JoinSide) -> SweepQuery {
+        SweepQuery {
+            qid,
+            partial: PartialDelta { lo, hi: lo, bag },
+            side,
+            batch: 1,
+            epoch: 0,
+            scope: None,
+            pred: None,
         }
     }
 
@@ -700,101 +593,65 @@ mod indexed_tests {
         }
     }
 
+    /// The rehash kernel over the source's current relation.
+    fn rehashed(src: &DataSource, q: &SweepQuery) -> PartialDelta {
+        extend_partial(&view3(), &q.partial, src.relation().bag(), q.side).unwrap()
+    }
+
     #[test]
     fn indexed_answers_match_plain_both_sides() {
-        let mut plain = mid_source(false);
-        let mut fast = mid_source(true);
-        assert!(fast.is_indexed());
+        let mut src = mid_source();
         // Rightward into R2 (R2 is right neighbor of R1).
-        let q_right = SweepQuery {
-            qid: 1,
-            partial: PartialDelta {
-                lo: 0,
-                hi: 0,
-                bag: Bag::from_tuples([tup![1, 3], tup![9, 4]]),
-            },
-            side: JoinSide::Right,
-            batch: 1,
-            epoch: 0,
-            scope: None,
-            pred: None,
-        };
-        assert_eq!(
-            answer_of(&mut plain, q_right.clone()),
-            answer_of(&mut fast, q_right)
+        let q_right = query(
+            1,
+            0,
+            Bag::from_tuples([tup![1, 3], tup![9, 4]]),
+            JoinSide::Right,
         );
+        assert_eq!(rehashed(&src, &q_right), answer_of(&mut src, q_right));
         // Leftward into R2 (R2 is left neighbor of R3).
-        let q_left = SweepQuery {
-            qid: 2,
-            partial: PartialDelta {
-                lo: 2,
-                hi: 2,
-                bag: Bag::from_tuples([tup![5, 6]]),
-            },
-            side: JoinSide::Left,
-            batch: 1,
-            epoch: 0,
-            scope: None,
-            pred: None,
-        };
-        assert_eq!(
-            answer_of(&mut plain, q_left.clone()),
-            answer_of(&mut fast, q_left)
-        );
+        let q_left = query(2, 2, Bag::from_tuples([tup![5, 6]]), JoinSide::Left);
+        assert_eq!(rehashed(&src, &q_left), answer_of(&mut src, q_left));
     }
 
     #[test]
     fn indexes_track_transactions() {
-        let mut plain = mid_source(false);
-        let mut fast = mid_source(true);
+        let mut src = mid_source();
         let delta = Bag::from_pairs([(tup![3, 5], -1), (tup![8, 5], 1)]);
-        for src in [&mut plain, &mut fast] {
-            let mut net: Network<Message> = Network::new(0);
-            src.handle(
-                ENV,
-                Message::ApplyTxn {
-                    rel: 1,
-                    delta: delta.clone(),
-                    global: None,
-                },
-                &mut net,
-            )
-            .unwrap();
-        }
-        let q = SweepQuery {
-            qid: 3,
-            partial: PartialDelta {
-                lo: 0,
-                hi: 0,
-                bag: Bag::from_tuples([tup![1, 3], tup![2, 8]]),
+        let mut net: Network<Message> = Network::new(0);
+        src.handle(
+            ENV,
+            Message::ApplyTxn {
+                rel: 1,
+                delta,
+                global: None,
             },
-            side: JoinSide::Right,
-            batch: 1,
-            epoch: 0,
-            scope: None,
-            pred: None,
-        };
-        assert_eq!(answer_of(&mut plain, q.clone()), answer_of(&mut fast, q));
-    }
-
-    #[test]
-    fn indexed_with_local_selection_rejected() {
-        let v = ViewDefBuilder::new()
-            .relation(Schema::new("R1", ["A", "B"]).unwrap())
-            .relation(Schema::new("R2", ["C", "D"]).unwrap())
-            .join("R1.B", "R2.C")
-            .select("R1.A", dw_relational::CmpOp::Gt, 0)
-            .build()
-            .unwrap();
-        let rel = BaseRelation::new(Schema::new("R1", ["A", "B"]).unwrap());
-        assert!(DataSource::with_indexes(0, v, rel).is_err());
+            &mut net,
+        )
+        .unwrap();
+        let q = query(
+            3,
+            0,
+            Bag::from_tuples([tup![1, 3], tup![2, 8]]),
+            JoinSide::Right,
+        );
+        assert_eq!(rehashed(&src, &q), answer_of(&mut src, q));
     }
 
     #[test]
     fn end_sources_have_one_index() {
-        let rel = BaseRelation::new(Schema::new("R1", ["A", "B"]).unwrap());
-        let src = DataSource::with_indexes(0, view3(), rel).unwrap();
-        // Leftmost: only serves leftward extension (as left neighbor).
-        assert!(src.is_indexed());
+        let rel = BaseRelation::from_tuples(Schema::new("R1", ["A", "B"]).unwrap(), [tup![1, 3]])
+            .unwrap();
+        let mut src = DataSource::new(0, view3(), rel);
+        // Leftmost: serves leftward extension (as left neighbor) only.
+        let q = query(4, 1, Bag::from_tuples([tup![3, 5]]), JoinSide::Left);
+        assert_eq!(rehashed(&src, &q), answer_of(&mut src, q));
+        // A query whose neighbor is another relation is refused, not
+        // answered against this one.
+        let stray = query(5, 0, Bag::from_tuples([tup![1, 3]]), JoinSide::Right);
+        let mut net: Network<Message> = Network::new(0);
+        let res = src.handle(WAREHOUSE_NODE, Message::SweepQuery(stray), &mut net);
+        assert!(matches!(res, Err(SourceError::Relational(_))));
+        assert!(net.next().is_none());
     }
 }
